@@ -22,7 +22,14 @@ from .errors import (
 from .fileio import PcgFile, dump_pcg_file, load_pcg_file, to_dot, to_json_dict
 from .graph import validate
 from .search import classify, enumerate_pcgs
-from .states import build_state, joint_z_probability, project_z, sample_counts, x_product_distribution
+from .states import (
+    MAX_SHOTS,
+    build_state,
+    joint_z_probability,
+    project_z,
+    sample_counts,
+    x_product_distribution,
+)
 from .verify import success_table, verify
 
 
@@ -154,6 +161,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots is not None and args.shots > MAX_SHOTS:
+        raise ResourceLimitError(f"--shots {args.shots} exceeds the ceiling of {MAX_SHOTS}")
     instance = _load(args.file)
     state = build_state(instance.pcg, instance.alpha, instance.b_terms)
     payload: dict = {}
@@ -190,12 +199,10 @@ def cmd_simulate(args) -> int:
             payload["joint_probability"] = prob
             lines.append(f"P(all Z sites {sites} -> digit {digit}) = {prob:.12g}")
     elif not args.condition:
-        amps = {
-            k: {"re": a.real, "im": a.imag} for k, a in sorted(state.amplitudes.items())
-        }
-        payload["state"] = amps
-        lines.append(f"state has {len(amps)} nonzero amplitudes")
-        for k, a in sorted(state.amplitudes.items()):
+        listing = state.listing()
+        payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in listing}
+        lines.append(f"state has {len(listing)} nonzero amplitudes")
+        for k, a in listing:
             lines.append(f"  |{k}> {a.real:+.9f}{a.imag:+.9f}i")
     if args.shots:
         counts = sample_counts(state, args.shots, args.seed)
@@ -382,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--condition", help='e.g. "Z1=1,Z2=1" (qubits: +1/1/0 -> digit 0, -1 -> digit 1)')
     p.add_argument("--observable", help='e.g. "X:2,3", "Y:1,2", or "Z:1,2,3=+1"')
-    p.add_argument("--shots", type=int, help="also sample counts (demo only)")
+    p.add_argument("--shots", type=int, help=f"also sample counts (demo only, at most {MAX_SHOTS})")
     p.add_argument("--seed", type=int, help="sampler seed")
     p.set_defaults(func=cmd_simulate)
 

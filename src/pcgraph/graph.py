@@ -165,10 +165,10 @@ def validate(pcg: PCG) -> ValidationReport:
                 f"edge #{i} {set(e.vertices)} has size {e.size}, need 1 <= size < {pcg.n}",
                 (i,),
             ))
-    for i in range(pcg.p):
-        for j in range(pcg.p):
+    masks = [e.mask for e in pcg.edges]
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
             if i != j:
-                mi, mj = pcg.edges[i].mask, pcg.edges[j].mask
                 # mi subset of mj; duplicate vertex sets are reported once
                 if mi | mj == mj and (i < j or mi != mj):
                     violations.append(Violation(

@@ -1,10 +1,13 @@
 """Exact sparse simulation of the graph-encoded states.
 
-States live on n sites of local dimension d and are stored as a map
-from digit strings (site 1 is the first character) to complex
-amplitudes.  The encoded states have at most p + 1 + |B-terms| nonzero
-amplitudes, so the sparse map handles dozens of sites without touching
-a dense 2^n vector.
+A state on n sites of local dimension d maps integer keys to complex
+amplitudes.  A key holds site v's digit at place d^(v-1), so a qubit
+key has bit v-1 set iff site v reads 1 and an edge's vertex mask is the
+key of its pattern.  The encoded states have at most p + 1 + |B-terms|
+nonzero amplitudes, so hundreds of sites need no dense 2^n vector.
+Digit strings (site 1 first) appear only at the boundary, through
+``parse_key`` and ``render_key``; output sorts by the digit string,
+which is not the integer order.
 
 Digit 0 encodes the Z eigenvalue +1 ("Z_i = 1"); for qudits the Z
 eigenvalues are the d-th roots of unity omega^digit.  The shift
@@ -16,14 +19,17 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ResourceLimitError, StateConditionError
+from .errors import CrossCheckError, ResourceLimitError, StateConditionError
 from .graph import PCG
 
 NORM_TOL = 1e-9
 PRUNE_TOL = 1e-15
+MAX_SHOTS = 10**6
 
 
 def omega(d: int) -> complex:
@@ -31,38 +37,52 @@ def omega(d: int) -> complex:
     return cmath.exp(2j * math.pi / d)
 
 
-def basis_key(n: int, ones: Iterable[int], digit: int = 1) -> str:
-    """Digit string with ``digit`` at the listed 1-based sites, 0 elsewhere."""
-    chars = ["0"] * n
-    for v in ones:
-        chars[v - 1] = str(digit)
-    return "".join(chars)
+def site_mask(sites: Iterable[int]) -> int:
+    """Qubit key with bit v-1 set for every listed 1-based site v."""
+    return sum(map((1).__lshift__, set(sites))) >> 1  # sum of 2^v, halved
+
+
+def parse_key(text: str, n: int, d: int) -> int:
+    """Integer key of an n-character digit string (site 1 first)."""
+    if len(text) != n or any(not c.isdigit() or int(c) >= d for c in text):
+        raise ValueError(f"basis key {text!r} is not {n} digits below {d}")
+    return sum(int(c) * d**i for i, c in enumerate(text))
+
+
+def render_key(key: int, n: int, d: int) -> str:
+    """Digit string of an integer key, one character per site."""
+    if d > 10:
+        raise ValueError(f"digit strings need d <= 10, got d={d}")
+    return "".join(str(key // d**i % d) for i in range(n))
 
 
 @dataclass(frozen=True)
 class SparseState:
-    """Immutable sparse state vector; amplitudes keyed by digit string."""
+    """Immutable sparse state: integer key (site v's digit at place d^(v-1))
+    to nonzero amplitude; ``from_amplitudes``/``amplitude``/``listing`` use digit strings."""
 
     n: int
     d: int
-    amplitudes: dict[str, complex]
+    amplitudes: dict[int, complex]
 
     @classmethod
     def from_amplitudes(
-        cls,
-        n: int,
-        amps: Mapping[str, complex],
-        d: int = 2,
-        normalize: bool = False,
+        cls, n: int, amps: Mapping[str, complex], d: int = 2, normalize: bool = False
     ) -> "SparseState":
+        """State from digit-string keys; checks key shape and the norm."""
+        return cls._from_keys(n, d, {parse_key(k, n, d): a for k, a in amps.items()}, normalize)
+
+    @classmethod
+    def _from_keys(cls, n: int, d: int, amps: Mapping[int, complex], normalize: bool = False):
         if n < 1:
             raise ValueError("site count must be at least 1")
         if d < 2:
             raise ValueError("local dimension must be at least 2")
-        cleaned: dict[str, complex] = {}
+        size = d**n
+        cleaned: dict[int, complex] = {}
         for key, amp in amps.items():
-            if len(key) != n or any(not c.isdigit() or int(c) >= d for c in key):
-                raise ValueError(f"basis key {key!r} is not {n} digits below {d}")
+            if not 0 <= key < size:
+                raise ValueError(f"basis key {key} is outside 0..{d}^{n}-1")
             if abs(amp) >= PRUNE_TOL:
                 cleaned[key] = complex(amp)
         norm2 = sum(abs(a) ** 2 for a in cleaned.values())
@@ -76,7 +96,12 @@ class SparseState:
         return cls(n, d, cleaned)
 
     def amplitude(self, key: str) -> complex:
-        return self.amplitudes.get(key, 0j)
+        """Amplitude of the basis state spelled by a digit string."""
+        return self.amplitudes.get(parse_key(key, self.n, self.d), 0j)
+
+    def listing(self) -> list[tuple[str, complex]]:
+        """(digit string, amplitude) pairs sorted by the digit string."""
+        return sorted((render_key(k, self.n, self.d), a) for k, a in self.amplitudes.items())
 
     def norm_squared(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes.values())
@@ -145,16 +170,31 @@ def build_state(pcg: PCG, alpha: complex = 1.0, b_terms: Sequence[BTerm] = ()) -
         raise StateConditionError("|alpha| < 1 needs b-terms to complete the state")
     _check_b_terms(pcg, b_terms)
     scale = a / math.sqrt(pcg.p + 1)
-    amps: dict[str, complex] = {basis_key(pcg.n, ()): scale}
+    amps: dict[int, complex] = {0: scale}
     for e in pcg.edges:
-        key = basis_key(pcg.n, e.vertices)
-        if key in amps:
+        if e.mask in amps:
             raise StateConditionError(f"duplicate edge pattern {set(e.vertices)}")
-        amps[key] = -e.theta * scale
+        amps[e.mask] = -e.theta * scale
     beta = math.sqrt(max(0.0, 1.0 - mag * mag))
     for term in b_terms:
-        amps[basis_key(pcg.n, term.vertices)] = beta * term.lam
-    return SparseState.from_amplitudes(pcg.n, amps, d=2)
+        amps[site_mask(term.vertices)] = beta * term.lam
+    return SparseState._from_keys(pcg.n, 2, amps)
+
+
+def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, complex]:
+    """The amplitudes whose Z digits agree with ``assignment`` (site -> digit)."""
+    for site, digit in assignment.items():
+        if not 1 <= site <= state.n:
+            raise ValueError(f"site {site} out of range 1..{state.n}")
+        if not 0 <= digit < state.d:
+            raise ValueError(f"digit {digit} out of range for d={state.d}")
+    if state.d == 2:
+        mask, want = site_mask(assignment), site_mask(compress(assignment, assignment.values()))
+        return {k: a for k, a in state.amplitudes.items() if k & mask == want}
+    d = state.d
+    places = [(d ** (site - 1), digit) for site, digit in assignment.items()]
+    return {k: a for k, a in state.amplitudes.items()
+            if all(k // place % d == digit for place, digit in places)}
 
 
 def project_z(
@@ -165,34 +205,22 @@ def project_z(
     ``assignment`` maps 1-based sites to observed digits.  A zero
     probability returns None for the post state.
     """
-    for site, digit in assignment.items():
-        if not 1 <= site <= state.n:
-            raise ValueError(f"site {site} out of range 1..{state.n}")
-        if not 0 <= digit < state.d:
-            raise ValueError(f"digit {digit} out of range for d={state.d}")
-    matching = {
-        k: a
-        for k, a in state.amplitudes.items()
-        if all(int(k[site - 1]) == digit for site, digit in assignment.items())
-    }
+    matching = _matching(state, assignment)
     prob = sum(abs(a) ** 2 for a in matching.values())
     if prob <= 0.0:
         return 0.0, None
     scale = 1 / math.sqrt(prob)
-    post = SparseState.from_amplitudes(
-        state.n, {k: a * scale for k, a in matching.items()}, d=state.d
-    )
-    return prob, post
+    post = {k: a * scale for k, a in matching.items()}
+    return prob, SparseState._from_keys(state.n, state.d, post)
 
 
-def _apply_shift(state_amps: dict[str, complex], sites: frozenset[int], d: int) -> dict[str, complex]:
-    out: dict[str, complex] = {}
-    for key, amp in state_amps.items():
-        new_key = "".join(
-            str((int(c) - 1) % d) if (i + 1) in sites else c for i, c in enumerate(key)
-        )
-        out[new_key] = out.get(new_key, 0j) + amp
-    return out
+def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dict[int, complex]:
+    """Apply X (|m> -> |m-1 mod d>) on every listed site; a key bijection."""
+    if d == 2:
+        mask = site_mask(sites)
+        return {k ^ mask: a for k, a in amps.items()}
+    places = [d ** (s - 1) for s in sites]  # digit 0 wraps to d-1, others step down
+    return {k + sum(-p if k // p % d else (d - 1) * p for p in places): a for k, a in amps.items()}
 
 
 def x_product_distribution(
@@ -214,47 +242,36 @@ def x_product_distribution(
             raise ValueError(f"site {s} out of range 1..{state.n}")
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be X or Y, got {basis!r}")
-    amps = dict(state.amplitudes)
+    amps = state.amplitudes
     if basis == "Y":
         if state.d != 2:
             raise ValueError("Y basis is defined for qubits only")
-        rotated = {}
-        for key, amp in amps.items():
-            ones = sum(1 for s in site_set if key[s - 1] == "1")
-            rotated[key] = amp * (-1j) ** ones
-        amps = rotated
+        mask = site_mask(site_set)
+        amps = {k: a * (-1j) ** (k & mask).bit_count() for k, a in amps.items()}
     d = state.d
     w = omega(d)
     # Moments phi_m = <psi| W^m |psi> determine the spectral weights.
-    moments: list[complex] = []
-    current = amps
-    for _ in range(d):
-        moments.append(
-            sum(amps[k].conjugate() * current[k] for k in amps.keys() & current.keys())
-        )
-        current = _apply_shift(current, site_set, d)
+    moments, current = [], amps
+    for m in range(d):
+        if m:
+            current = _apply_shift(current, site_set, d)
+        moments.append(sum(a.conjugate() * current[k] for k, a in amps.items() if k in current))
     dist: dict[int, float] = {}
     for j in range(d):
         val = sum(w ** (-j * m) * moments[m] for m in range(d)) / d
         if abs(val.imag) > 1e-9:
-            raise AssertionError(f"non-real spectral weight {val}")
+            raise CrossCheckError(f"non-real spectral weight {val} for power {j} of the "
+                                  f"{basis} product over sites {sorted(site_set)} (d={d})")
         dist[j] = max(0.0, val.real)
     return dist
 
 
 def joint_z_probability(state: SparseState, sites: Iterable[int], digit: int = 0) -> float:
     """Probability that every listed site yields the given Z digit."""
-    site_list = sorted(set(sites))
-    for s in site_list:
-        if not 1 <= s <= state.n:
-            raise ValueError(f"site {s} out of range 1..{state.n}")
     if not 0 <= digit < state.d:
         raise ValueError(f"digit {digit} out of range for d={state.d}")
-    return sum(
-        abs(a) ** 2
-        for k, a in state.amplitudes.items()
-        if all(int(k[s - 1]) == digit for s in site_list)
-    )
+    matching = _matching(state, dict.fromkeys(sorted(set(sites)), digit))
+    return sum(abs(a) ** 2 for a in matching.values())
 
 
 QUDIT_FAMILY_MAX_D = 7
@@ -269,15 +286,14 @@ def build_qudit_family(d: int) -> SparseState:
     """
     if not 2 <= d <= QUDIT_FAMILY_MAX_D:
         raise ResourceLimitError(f"qudit family supports 2 <= d <= {QUDIT_FAMILY_MAX_D}")
-    n = d + 1
-    w = omega(d)
+    n, w = d + 1, omega(d)
     scale = 1 / math.sqrt(1 + (d - 1) * (d + 1))
-    amps: dict[str, complex] = {"0" * n: scale}
+    all_ones = (d**n - 1) // (d - 1)  # digit 1 at every site
+    amps: dict[int, complex] = {0: scale}
     for c in range(1, d):
         for zero_site in range(1, n + 1):
-            key = "".join("0" if s == zero_site else str(c) for s in range(1, n + 1))
-            amps[key] = (w ** c) * scale
-    return SparseState.from_amplitudes(n, amps, d=d)
+            amps[c * (all_ones - d ** (zero_site - 1))] = (w**c) * scale
+    return SparseState._from_keys(n, d, amps)
 
 
 _PAULI_LETTERS = ("I", "X", "Y", "Z")
@@ -285,7 +301,8 @@ _PAULI_LETTERS = ("I", "X", "Y", "Z")
 
 @dataclass(frozen=True)
 class PauliWord:
-    """Tensor product of single-qubit Paulis with a global phase."""
+    """Tensor product of single-qubit Paulis with a global phase, applied as
+    phase * i^#Y * X^x Z^z (Y = iXZ): |k> -> (-1)^|k & z| |k ^ x> times that."""
 
     letters: tuple[str, ...]
     phase: complex = 1 + 0j
@@ -315,23 +332,12 @@ class PauliWord:
             raise ValueError("Pauli words act on qubit states only")
         if state.n != self.n:
             raise ValueError(f"word on {self.n} sites applied to {state.n}-site state")
-        out: dict[str, complex] = {}
-        for key, amp in state.amplitudes.items():
-            coeff = self.phase * amp
-            chars = list(key)
-            for i, letter in enumerate(self.letters):
-                bit = chars[i] == "1"
-                if letter == "X":
-                    chars[i] = "0" if bit else "1"
-                elif letter == "Y":
-                    coeff *= -1j if bit else 1j
-                    chars[i] = "0" if bit else "1"
-                elif letter == "Z":
-                    if bit:
-                        coeff = -coeff
-            new_key = "".join(chars)
-            out[new_key] = out.get(new_key, 0j) + coeff
-        return SparseState.from_amplitudes(self.n, out, d=2)
+        x = site_mask(i + 1 for i, l in enumerate(self.letters) if l in ("X", "Y"))
+        z = site_mask(i + 1 for i, l in enumerate(self.letters) if l in ("Y", "Z"))
+        coeff = self.phase * 1j ** self.letters.count("Y")
+        return SparseState._from_keys(self.n, 2, {
+            k ^ x: (-coeff if (k & z).bit_count() & 1 else coeff) * a
+            for k, a in state.amplitudes.items()})
 
 
 def pps_amplitude(
@@ -353,11 +359,10 @@ def pps_amplitude(
     return (direct + sign * through) / 2
 
 
-_QUBIT_CHARS = {
-    "0": {"0": 1.0},
-    "1": {"1": 1.0},
-    "+": {"0": 1 / math.sqrt(2), "1": 1 / math.sqrt(2)},
-    "-": {"0": 1 / math.sqrt(2), "1": -1 / math.sqrt(2)},
+_QUBIT_CHARS = {  # spec character -> {bit: amplitude}
+    "0": {0: 1.0}, "1": {1: 1.0},
+    "+": {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)},
+    "-": {0: 1 / math.sqrt(2), 1: -1 / math.sqrt(2)},
 }
 
 
@@ -365,24 +370,19 @@ def qubit_product_state(spec: str) -> SparseState:
     """Product state from a character spec, e.g. "010" or "+-+"."""
     if not spec or any(c not in _QUBIT_CHARS for c in spec):
         raise ValueError(f"spec must be nonempty over {sorted(_QUBIT_CHARS)}, got {spec!r}")
-    amps: dict[str, complex] = {"": 1.0}
-    for c in spec:
-        amps = {
-            key + digit: amp * factor
-            for key, amp in amps.items()
-            for digit, factor in _QUBIT_CHARS[c].items()
-        }
-    return SparseState.from_amplitudes(len(spec), amps, d=2)
+    amps: dict[int, complex] = {0: 1.0}
+    for site, c in enumerate(spec):
+        amps = {key | bit << site: amp * factor
+                for key, amp in amps.items() for bit, factor in _QUBIT_CHARS[c].items()}
+    return SparseState._from_keys(len(spec), 2, amps)
 
 
 def sample_counts(state: SparseState, shots: int, seed: int | None = None) -> dict[str, int]:
-    """Seeded demo sampler; certification never uses sampled statistics."""
+    """Seeded demo sampler keyed by digit string; certification never uses it."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = random.Random(seed)
-    keys = sorted(state.amplitudes)
-    weights = [abs(state.amplitudes[k]) ** 2 for k in keys]
-    counts: dict[str, int] = {}
-    for key in rng.choices(keys, weights=weights, k=shots):
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    if shots > MAX_SHOTS:
+        raise ResourceLimitError(f"shots = {shots} exceeds the ceiling of {MAX_SHOTS}")
+    keys, amps = zip(*state.listing())
+    weights = [abs(a) ** 2 for a in amps]
+    return dict(Counter(random.Random(seed).choices(keys, weights=weights, k=shots)))

@@ -205,7 +205,7 @@ def verify(
     checks = []
     for e in pcg.edges:
         complement = sorted(all_sites - set(e.vertices))
-        _, post = project_z(state, {s: 0 for s in complement})
+        _, post = project_z(state, dict.fromkeys(complement, 0))
         dist = x_product_distribution(post, e.vertices)
         checks.append(HardyCheck(
             edge=e.vertices,

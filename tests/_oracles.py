@@ -102,13 +102,19 @@ def random_b_terms(rng: random.Random, pcg: PCG, max_terms: int = 2) -> tuple[BT
 
 
 def dense_vector(state) -> np.ndarray:
-    """Dense statevector with site 1 as the most significant digit."""
+    """Dense statevector with site 1 as the most significant digit.
+
+    Sparse keys hold site v's digit at place d^(v-1); they are decoded
+    here digit by digit, without the library's key helpers.
+    """
     dim = state.d ** state.n
     vec = np.zeros(dim, dtype=complex)
     for key, amp in state.amplitudes.items():
-        idx = 0
-        for ch in key:
-            idx = idx * state.d + int(ch)
+        idx, rest = 0, key
+        for _ in range(state.n):  # sites 1..n, least significant place first
+            rest, digit = divmod(rest, state.d)
+            idx = idx * state.d + digit
+        assert rest == 0, f"key {key} has digits beyond site {state.n}"
         vec[idx] = amp
     return vec
 

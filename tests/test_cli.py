@@ -267,3 +267,31 @@ def test_cross_check_divergence_exit_code(capsys, monkeypatch, triangle_file):
     code, _, err = run(capsys, "verify", triangle_file)
     assert code == 3
     assert "cross-check divergence" in err
+
+
+def test_non_real_spectral_weight_exits_3_without_traceback(capsys, monkeypatch, triangle_file):
+    import pcgraph.states
+    from pcgraph import CrossCheckError, build_state, x_product_distribution
+    from pcgraph.catalog import triangle_pcg
+
+    def corrupted_shift(amps, sites, d):  # moves nothing, multiplies by i
+        return {k: 1j * a for k, a in amps.items()}
+
+    monkeypatch.setattr(pcgraph.states, "_apply_shift", corrupted_shift)
+    with pytest.raises(CrossCheckError, match="non-real spectral weight"):
+        x_product_distribution(build_state(triangle_pcg()), [1, 2])
+    for argv in (["simulate", triangle_file, "--observable", "X:1,2"], ["verify", triangle_file]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "internal cross-check divergence: non-real spectral weight" in err
+        assert "Traceback" not in err
+
+
+def test_shots_above_ceiling_exit_1(capsys, triangle_file):
+    from pcgraph.states import MAX_SHOTS
+
+    code, out, err = run(capsys, "simulate", triangle_file, "--shots", str(MAX_SHOTS + 1))
+    assert code == 1 and out == ""
+    assert "ceiling" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "simulate", triangle_file, "--shots", "5", "--seed", "1", "--json")
+    assert code == 0 and sum(json.loads(out)["sampled_counts"].values()) == 5

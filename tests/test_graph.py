@@ -47,6 +47,16 @@ def test_validate_nested_edges_is_illegal():
     assert {(v.edges) for v in nested} == {(0, 2), (1, 2)}
 
 
+def test_validate_pins_nested_and_duplicate_messages():
+    pcg = PCG.build(4, [((1, 2), 1), ((1, 2, 3), -1), ((1, 2), -1), ((3, 4), 1), ((4,), 1)])
+    assert [(v.kind, v.message, v.edges) for v in validate(pcg).violations] == [
+        ("nested-edges", "edge #0 {1, 2} is contained in edge #1 {1, 2, 3}", (0, 1)),
+        ("nested-edges", "edge #0 {1, 2} is contained in edge #2 {1, 2}", (0, 2)),
+        ("nested-edges", "edge #2 {1, 2} is contained in edge #1 {1, 2, 3}", (2, 1)),
+        ("nested-edges", "edge #4 {4} is contained in edge #3 {3, 4}", (4, 3)),
+    ]
+
+
 def test_validate_triangle_passes():
     assert validate(triangle_pcg()).ok
 

@@ -1,0 +1,145 @@
+"""Integer-key kernels of pcgraph.states against dense linear algebra.
+
+Random sparse states over d in {2, 3, 4, 5} enter through digit strings,
+so the boundary parser is exercised too; every result is compared with
+the dense oracle in ``_oracles``, which decodes keys with its own
+arithmetic.
+"""
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pcgraph import (
+    ResourceLimitError,
+    SparseState,
+    build_state,
+    joint_z_probability,
+    project_z,
+    sample_counts,
+    x_product_distribution,
+)
+from pcgraph.catalog import triangle_pcg
+from pcgraph.states import MAX_SHOTS, parse_key, render_key
+
+from _oracles import dense_product_distribution, dense_vector
+
+MAX_SITES = {2: 6, 3: 4, 4: 3, 5: 3}
+
+
+@st.composite
+def sparse_states(draw):
+    d = draw(st.sampled_from(sorted(MAX_SITES)))
+    n = draw(st.integers(1, MAX_SITES[d]))
+    digit_strings = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(
+        lambda digits: "".join(map(str, digits))
+    )
+    keys = draw(st.lists(digit_strings, min_size=1, max_size=10, unique=True))
+    amps = draw(st.lists(
+        st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0),
+        min_size=len(keys), max_size=len(keys),
+    ))
+    return SparseState.from_amplitudes(n, dict(zip(keys, amps)), d=d, normalize=True)
+
+
+def _dense_digits(idx: int, n: int, d: int) -> list[int]:
+    """Digits of a dense index, site 1 first (site 1 is most significant)."""
+    return [(idx // d ** (n - v)) % d for v in range(1, n + 1)]
+
+
+def _dense_mask(n: int, d: int, assignment: dict[int, int]) -> np.ndarray:
+    return np.array([
+        all(_dense_digits(idx, n, d)[site - 1] == digit for site, digit in assignment.items())
+        for idx in range(d**n)
+    ])
+
+
+@st.composite
+def state_and_assignment(draw):
+    state = draw(sparse_states())
+    sites = draw(st.lists(st.integers(1, state.n), unique=True, max_size=state.n))
+    return state, {s: draw(st.integers(0, state.d - 1)) for s in sites}
+
+
+@st.composite
+def state_and_sites(draw):
+    state = draw(sparse_states())
+    return state, draw(st.sets(st.integers(1, state.n), min_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_and_assignment())
+def test_project_z_matches_dense(case):
+    state, assignment = case
+    vec = dense_vector(state)
+    kept = np.where(_dense_mask(state.n, state.d, assignment), vec, 0)
+    expected = float(np.vdot(kept, kept).real)
+    prob, post = project_z(state, assignment)
+    assert abs(prob - expected) < 1e-12
+    if post is None:
+        assert expected < 1e-20
+    else:
+        assert np.allclose(dense_vector(post), kept / np.sqrt(expected), atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_and_sites())
+def test_x_and_y_distributions_match_dense(case):
+    state, sites = case
+    dist = x_product_distribution(state, sites)
+    dense = dense_product_distribution(state, sites)
+    assert set(dist) == set(range(state.d))
+    assert all(abs(dist[j] - dense[j]) < 1e-9 for j in dist)
+    if state.d == 2:
+        dist_y = x_product_distribution(state, sites, basis="Y")
+        dense_y = dense_product_distribution(state, sites, basis="Y")
+        assert all(abs(dist_y[j] - dense_y[j]) < 1e-9 for j in dist_y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_and_sites(), st.integers(0, 4))
+def test_joint_z_probability_matches_dense(case, digit):
+    state, sites = case
+    digit %= state.d
+    vec = dense_vector(state)
+    mask = _dense_mask(state.n, state.d, dict.fromkeys(sites, digit))
+    expected = float(np.sum(np.abs(vec[mask]) ** 2))
+    assert abs(joint_z_probability(state, sites, digit) - expected) < 1e-12
+
+
+# --- digit-string boundary -------------------------------------------------------
+
+@pytest.mark.parametrize("n,d", [(1, 2), (4, 2), (3, 3), (3, 5), (2, 10)])
+def test_key_round_trip(n, d):
+    rendered = [render_key(k, n, d) for k in range(d**n)]
+    assert len(set(rendered)) == d**n and all(len(s) == n for s in rendered)
+    assert [parse_key(s, n, d) for s in rendered] == list(range(d**n))
+
+
+def test_key_encoding_places_site_one_lowest():
+    assert parse_key("100", 3, 2) == 1 and parse_key("001", 3, 2) == 4
+    assert parse_key("0120", 4, 3) == 1 * 3 + 2 * 9
+    assert render_key(21, 4, 3) == "0120"
+    with pytest.raises(ValueError):
+        parse_key("012", 3, 2)
+    with pytest.raises(ValueError):
+        render_key(0, 2, 11)
+
+
+def test_listing_and_sampler_sort_by_digit_string():
+    state = build_state(triangle_pcg())  # keys 0, 6, 5, 3
+    assert sorted(state.amplitudes) == [0, 3, 5, 6]
+    strings = ["000", "011", "101", "110"]
+    assert [k for k, _ in state.listing()] == strings
+    weights = [abs(state.amplitude(s)) ** 2 for s in strings]
+    expected: dict[str, int] = {}
+    for s in random.Random(5).choices(strings, weights=weights, k=300):
+        expected[s] = expected.get(s, 0) + 1
+    assert sample_counts(state, 300, seed=5) == expected
+
+
+def test_sample_counts_ceiling():
+    state = build_state(triangle_pcg())
+    with pytest.raises(ResourceLimitError, match="ceiling"):
+        sample_counts(state, MAX_SHOTS + 1)
