@@ -1,8 +1,9 @@
 """Byte-for-byte golden output of the CLI.
 
-``verify --json`` for every catalog entry with an instance file, and
-``simulate --json`` for two small instances, must print exactly the
-bytes stored under ``tests/golden/``.  A run that exits nonzero (the
+``verify --json`` and ``check --json`` for every catalog entry with an
+instance file, ``simulate --json`` for two small instances, and two
+``search`` runs must print exactly the bytes stored under
+``tests/golden/``.  A run that exits nonzero (the
 deliberately invalid ``magic-m16-tilde``) also pins its exit code and
 stderr.  To re-record (only when an output change is intended), run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -28,29 +29,43 @@ SIMULATE_VARIANTS = {
     "joint-z": ["--observable", "Z:1,2,3=+1"],
     "shots": ["--shots", "50", "--seed", "3"],
 }
+SEARCH_VARIANTS = {
+    "n4-e4": ["--n", "4", "--max-edges", "4"],
+    "n5-e3-irreducible": ["--n", "5", "--max-edges", "3", "--irreducible-only"],
+}
 
 
-def _cases() -> list[tuple[str, str, list[str]]]:
-    """(golden file name, catalog entry id, CLI arguments after the file)."""
+def _cases() -> list[tuple[str, str | None, list[str]]]:
+    """(golden file name, catalog entry id or None, CLI arguments after the file)."""
     cases = [
-        (f"verify-{entry_id}.out", entry_id, ["verify"])
+        (f"{command}-{entry_id}.out", entry_id, [command])
+        for command in ("verify", "check")
         for entry_id in catalog.catalog_ids()
         if catalog.get(entry_id).pcg is not None
     ]
     for entry_id in SIMULATE_ENTRIES:
         for variant, extra in SIMULATE_VARIANTS.items():
             cases.append((f"simulate-{entry_id}-{variant}.out", entry_id, ["simulate", *extra]))
+    for variant, extra in SEARCH_VARIANTS.items():
+        cases.append((f"search-{variant}.out", None, ["search", *extra]))
     return cases
 
 
-def _render(entry_id: str, args: list[str], workdir: Path) -> str:
-    """Stdout of one CLI run, followed by exit code and stderr if it failed."""
-    path = workdir / f"{entry_id}.json"
-    if not path.exists():
-        assert main(["catalog", "export", entry_id, "-o", str(path)]) == 0
+def _render(entry_id: str | None, args: list[str], workdir: Path) -> str:
+    """Stdout of one CLI run, followed by exit code and stderr if it failed.
+
+    With an entry id the catalog instance is exported to a file and run
+    with ``--json``; without one (``search``) the arguments run as given.
+    """
+    argv = args
+    if entry_id is not None:
+        path = workdir / f"{entry_id}.json"
+        if not path.exists():
+            assert main(["catalog", "export", entry_id, "-o", str(path)]) == 0
+        argv = [args[0], str(path), *args[1:], "--json"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([args[0], str(path), *args[1:], "--json"])
+        code = main(argv)
     if code == 0:
         return out.getvalue()
     return f"{out.getvalue()}--- exit {code}, stderr ---\n{err.getvalue()}"
