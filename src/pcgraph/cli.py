@@ -20,7 +20,7 @@ from .errors import (
     StateConditionError,
 )
 from .fileio import PcgFile, dump_pcg_file, load_pcg_file, to_dot, to_json_dict
-from .graph import validate
+from .graph import MAX_CENSUS_CAP, validate
 from .search import classify, enumerate_pcgs
 from .states import (
     MAX_SHOTS,
@@ -30,7 +30,7 @@ from .states import (
     sample_counts,
     x_product_distribution,
 )
-from .verify import success_table, verify
+from .verify import MAX_TABLE_N, success_table, verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,11 +276,7 @@ def cmd_search(args) -> int:
     payload = census.to_json_dict()
     if not args.irreducible_only:
         payload["instances"] = [
-            {
-                "n": p.n,
-                "edges": [{"vertices": list(e.vertices), "theta": e.theta} for e in p.edges],
-            }
-            for p in stream
+            {"n": p.n, "edges": [e.to_json_dict() for e in p.edges]} for p in stream
         ]
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -396,11 +392,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="full paradox certificate")
     p.add_argument("file")
     p.add_argument("--lhv-cap", type=int, default=24, dest="lhv_cap",
-                   help="largest n for the exhaustive classical census")
+                   help=f"largest n for the exhaustive classical census (at most {MAX_CENSUS_CAP})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", parents=[common], help="success probability table")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=int, required=True, dest="max_n",
+                   help=f"last row of the table (at most {MAX_TABLE_N})")
     p.add_argument("--simulate", action="store_true",
                    help="show the simulated loop column (n <= 12)")
     p.set_defaults(func=cmd_table)
@@ -410,7 +407,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max-edges", type=int, required=True, dest="max_edges")
     p.add_argument("--sizes", help="edge size range a..b")
     p.add_argument("--irreducible-only", action="store_true", dest="irreducible_only")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (at least 1; clamped to the CPU count)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("catalog", help="built-in instances")

@@ -105,9 +105,7 @@ def to_json_dict(instance: PcgFile) -> dict:
     out: dict = {
         "n": instance.pcg.n,
         "d": instance.d,
-        "edges": [
-            {"vertices": list(e.vertices), "theta": e.theta} for e in instance.pcg.edges
-        ],
+        "edges": [e.to_json_dict() for e in instance.pcg.edges],
     }
     alpha = instance.alpha
     if alpha.imag == 0.0 and alpha.real >= 0.0:

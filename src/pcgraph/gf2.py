@@ -121,26 +121,34 @@ class Gf2Matrix:
         return Gf2Vector(self.rows, out)
 
 
-def rank(m: Gf2Matrix) -> int:
-    """Row rank over GF(2) via Gaussian elimination; input untouched."""
-    work = list(m.row_bits)
-    r = 0
-    for c in range(m.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
-                break
+def eliminate(rows: list[int], cols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row echelon form on columns ``0..cols-1``.
+
+    Returns the pivot columns: row k now leads at ``pivots[k]``, and the
+    later rows are zero below ``cols``.  Bits at or above ``cols`` ride
+    along with every row operation (a right-hand side, a row tag).
+    """
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        bit = 1 << c
+        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        r += 1
-        if r == len(work):
-            break
-    return r
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r]
+        for i, row in enumerate(rows):
+            if row & bit and i != r:
+                rows[i] = row ^ lead
+        pivots.append(c)
+    return pivots
+
+
+def rank(m: Gf2Matrix) -> int:
+    """Row rank over GF(2) via Gaussian elimination; input untouched."""
+    return len(eliminate(list(m.row_bits), m.cols))
 
 
 def solve(a: Gf2Matrix, rhs: Gf2Vector) -> Gf2Vector | None:
@@ -151,33 +159,12 @@ def solve(a: Gf2Matrix, rhs: Gf2Vector) -> Gf2Vector | None:
     """
     if rhs.length != a.rows:
         raise ValueError(f"rhs length {rhs.length} != row count {a.rows}")
-    work = [bits | (rhs.get(r) << a.cols) for r, bits in enumerate(a.row_bits)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(a.cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
     rhs_bit = 1 << a.cols
-    for i in range(r, len(work)):
-        if work[i] & rhs_bit:
-            return None
+    work = [bits | (rhs.get(r) << a.cols) for r, bits in enumerate(a.row_bits)]
+    pivots = eliminate(work, a.cols)
+    if any(row & rhs_bit for row in work[len(pivots):]):
+        return None
     # After full reduction each pivot row reads x[pivot] + (free terms) = rhs;
     # with free variables zeroed the pivot value is the augmented bit itself.
-    x = 0
-    for row_idx, c in enumerate(pivots):
-        if work[row_idx] & rhs_bit:
-            x |= 1 << c
+    x = sum(1 << c for row, c in zip(work, pivots) if row & rhs_bit)
     return Gf2Vector(a.cols, x)

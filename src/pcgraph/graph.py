@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PcgValidationError, ResourceLimitError
-from .gf2 import Gf2Matrix, Gf2Vector, rank, solve
+from .gf2 import Gf2Matrix, Gf2Vector, eliminate
 
 DEFAULT_CENSUS_CAP = 24
+# Census peak RSS measured 103 MB at n = 26, 273 MB at n = 28 (x4 per 2 vertices).
+MAX_CENSUS_CAP = 28
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,10 @@ class SignedEdge:
     def theta_bit(self) -> int:
         """1 iff theta = +1, i.e. (theta + |theta|) / 2."""
         return 1 if self.theta == 1 else 0
+
+    def to_json_dict(self) -> dict:
+        """The edge as it appears in instance files, certificates and search output."""
+        return {"vertices": list(self.vertices), "theta": self.theta}
 
 
 def edge(vertices: Iterable[int], theta: int = 1) -> SignedEdge:
@@ -225,6 +231,19 @@ def hardy_matrices(pcg: PCG) -> tuple[Gf2Matrix, Gf2Vector]:
     return a, theta
 
 
+def _reduce_hardy_system(pcg: PCG) -> tuple[list[int], list[int]]:
+    """Rows ``e.mask | theta_bit << n | 1 << (n + 1 + i)`` reduced on the n vertex columns.
+
+    Pivot rows give rank(A) and the coloring with free variables green.
+    The other rows, shifted right by n, span the left kernel {y : y A = 0}
+    with bit 0 = y.Theta and bit i + 1 = y_i; an odd y is a proof that
+    the edges it selects cannot all be satisfied.
+    """
+    n = pcg.n
+    rows = [e.mask | e.theta_bit << n | 1 << (n + 1 + i) for i, e in enumerate(pcg.edges)]
+    return rows, eliminate(rows, n)
+
+
 def is_colorable(pcg: PCG) -> ColorabilityResult:
     """Decide the coloring game by the GF(2) rank criterion.
 
@@ -232,14 +251,13 @@ def is_colorable(pcg: PCG) -> ColorabilityResult:
     is the solution with all free variables green, so repeated calls
     return the identical coloring.
     """
-    a, theta = hardy_matrices(pcg)
-    rank_a = rank(a)
-    rank_b = rank(a.augment_column(theta))
-    if rank_a != rank_b:
-        return ColorabilityResult(False, rank_a, rank_b, None)
-    solution = solve(a, theta)
-    assert solution is not None  # equal ranks guarantee consistency
-    return ColorabilityResult(True, rank_a, rank_b, Coloring.from_bits(solution.bits, pcg.n))
+    rows, pivots = _reduce_hardy_system(pcg)
+    rank_a = len(pivots)
+    theta_bit = 1 << pcg.n
+    if any(row & theta_bit for row in rows[rank_a:]):
+        return ColorabilityResult(False, rank_a, rank_a + 1, None)
+    bits = sum(1 << c for row, c in zip(rows, pivots) if row & theta_bit)
+    return ColorabilityResult(True, rank_a, rank_a, Coloring.from_bits(bits, pcg.n))
 
 
 def _variable_table(v_idx: int, n: int) -> int:
@@ -266,6 +284,8 @@ def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCe
     runs at machine speed, but it remains a full enumeration,
     independent of the rank criterion.
     """
+    if cap > MAX_CENSUS_CAP:
+        raise ResourceLimitError(f"census cap {cap} exceeds the ceiling of {MAX_CENSUS_CAP}")
     if pcg.n > cap:
         raise ResourceLimitError(f"census over 2^{pcg.n} assignments exceeds cap {cap}")
     total = 1 << pcg.n
@@ -286,14 +306,6 @@ def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCe
     return ColoringCensus(total, satisfying, witness)
 
 
-def _colorable_subset(pcg: PCG, keep: Sequence[int]) -> bool:
-    masks = [pcg.edges[i].mask for i in keep]
-    bits = [pcg.edges[i].theta_bit for i in keep]
-    a = Gf2Matrix.from_bitmasks(masks, pcg.n)
-    theta = Gf2Vector(len(keep), sum(b << i for i, b in enumerate(bits)))
-    return rank(a) == rank(a.augment_column(theta))
-
-
 def is_irreducible(pcg: PCG) -> IrreducibilityResult:
     """Classify an un-colorable graph as irreducible or reducible.
 
@@ -301,29 +313,28 @@ def is_irreducible(pcg: PCG) -> IrreducibilityResult:
     un-colorable and every vertex is constrained by some edge.  Checking
     single-edge deletions suffices: dropping constraints only enlarges
     the solution set.  The reducible witness is a minimal un-colorable
-    edge subset found by greedy deletion, so it is deterministic.
+    edge subset found by greedy deletion in edge order.  Both answers
+    come from one elimination: deleting edge i restricts the proofs of
+    un-colorability (left-kernel y with y.Theta = 1) to y_i = 0, and the
+    deletion is kept iff an odd proof survives.
     """
-    if is_colorable(pcg).colorable:
+    rows, pivots = _reduce_hardy_system(pcg)
+    proofs = [row >> pcg.n for row in rows[len(pivots):]]
+    if not any(y & 1 for y in proofs):
         return IrreducibilityResult("not_applicable")
-    all_idx = list(range(pcg.p))
-    deletions_colorable = all(
-        _colorable_subset(pcg, all_idx[:i] + all_idx[i + 1:]) for i in all_idx
-    )
-    covered = set()
-    for e in pcg.edges:
-        covered.update(e.vertices)
-    if deletions_colorable and len(covered) == pcg.n:
-        return IrreducibilityResult("irreducible")
-    keep = list(all_idx)
-    i = 0
-    while i < len(keep):
-        trial = keep[:i] + keep[i + 1:]
-        if not _colorable_subset(pcg, trial):
-            keep = trial
+    keep = []
+    for i, e in enumerate(pcg.edges):
+        bit = 2 << i
+        lead = next((y for y in proofs if y & bit), 0)
+        restricted = [y ^ lead if y & bit else y for y in proofs if y != lead]
+        if any(y & 1 for y in restricted):
+            proofs = restricted
         else:
-            i += 1
-    witness = tuple(pcg.edges[i] for i in keep)
-    return IrreducibilityResult("reducible", witness)
+            keep.append(e)
+    covered = {v for e in pcg.edges for v in e.vertices}
+    if len(keep) == pcg.p and len(covered) == pcg.n:
+        return IrreducibilityResult("irreducible")
+    return IrreducibilityResult("reducible", tuple(keep))
 
 
 def from_adjacency_map(regions: int, adjacency: Iterable[tuple[int, int]]) -> PCG:

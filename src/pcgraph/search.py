@@ -1,6 +1,7 @@
 """Exhaustive enumeration of small graphs up to vertex relabeling."""
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -117,8 +118,10 @@ def enumerate_pcgs(
     ``sizes`` restricts edge cardinalities (default: everything the size
     rule allows).  Work is partitioned by the smallest edge mask and the
     partitions are merged and sorted, so worker count never changes the
-    output.
+    output.  At most min(workers, CPU count, partitions) processes start.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if n > MAX_N:
         raise ResourceLimitError(f"enumeration supports n <= {MAX_N}")
     if max_edges > MAX_EDGES:
@@ -129,7 +132,8 @@ def enumerate_pcgs(
     )
     tasks = [(n, universe, i, max_edges) for i in range(len(universe))]
     forms: set[CanonicalForm] = set()
-    if workers > 1 and tasks:
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_enumerate_partition, tasks):
                 forms |= part
@@ -154,12 +158,7 @@ class SearchCensus:
             "uncolorable": self.uncolorable,
             "irreducible": self.irreducible,
             "representatives": [
-                {
-                    "n": p.n,
-                    "edges": [
-                        {"vertices": list(e.vertices), "theta": e.theta} for e in p.edges
-                    ],
-                }
+                {"n": p.n, "edges": [e.to_json_dict() for e in p.edges]}
                 for p in self.representatives
             ],
         }

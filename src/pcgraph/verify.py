@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CrossCheckError
+from .errors import CrossCheckError, ResourceLimitError
 from .graph import (
     DEFAULT_CENSUS_CAP,
     PCG,
@@ -45,6 +45,8 @@ from .states import (
 )
 
 PROBABILITY_TOL = 1e-9
+# Largest n of the success table; 2**n overflows a float at n = 1024.
+MAX_TABLE_N = 1000
 
 
 def _complex_dict(z: complex) -> dict[str, float]:
@@ -55,7 +57,7 @@ def pcg_digest(pcg: PCG) -> str:
     """Stable SHA-256 digest of the graph as given (order-sensitive)."""
     payload = {
         "n": pcg.n,
-        "edges": [{"vertices": list(e.vertices), "theta": e.theta} for e in pcg.edges],
+        "edges": [e.to_json_dict() for e in pcg.edges],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -122,9 +124,7 @@ class ParadoxCertificate:
             "instance": {
                 "pcg_digest": self.pcg_digest,
                 "n": self.n,
-                "edges": [
-                    {"vertices": list(e.vertices), "theta": e.theta} for e in self.edges
-                ],
+                "edges": [e.to_json_dict() for e in self.edges],
                 "alpha": _complex_dict(self.alpha),
                 "b_terms": [
                     {"vertices": list(t.vertices), "lambda": _complex_dict(t.lam)}
@@ -287,6 +287,8 @@ def success_table(max_n: int, simulate_up_to: int = 12) -> list[SuccessRow]:
     """
     if max_n < 3:
         raise ValueError("max_n must be at least 3")
+    if max_n > MAX_TABLE_N:
+        raise ResourceLimitError(f"max_n {max_n} exceeds the ceiling of {MAX_TABLE_N}")
     from .catalog import loop_pcg  # local import keeps module layering acyclic
 
     rows = []

@@ -47,6 +47,19 @@ def naive_census(pcg: PCG) -> tuple[int, int]:
     return 1 << pcg.n, sat
 
 
+def greedy_uncolorable_subset(pcg: PCG) -> tuple[SignedEdge, ...]:
+    """Drop edges in order while the rest stays un-colorable, judged by census."""
+    keep = list(pcg.edges)
+    i = 0
+    while i < len(keep):
+        trial = keep[:i] + keep[i + 1:]
+        if naive_census(PCG(pcg.n, tuple(trial)))[1] == 0:
+            keep = trial
+        else:
+            i += 1
+    return tuple(keep)
+
+
 def random_valid_pcg(rng: random.Random, max_n: int = 10, max_edges: int = 8) -> PCG:
     """Rejection-sample a structurally valid instance."""
     while True:

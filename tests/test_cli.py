@@ -295,3 +295,35 @@ def test_shots_above_ceiling_exit_1(capsys, triangle_file):
     assert "ceiling" in err and "Traceback" not in err
     code, out, _ = run(capsys, "simulate", triangle_file, "--shots", "5", "--seed", "1", "--json")
     assert code == 0 and sum(json.loads(out)["sampled_counts"].values()) == 5
+
+
+def test_table_max_n_above_ceiling_exit_1(capsys):
+    from pcgraph.verify import MAX_TABLE_N
+
+    code, out, err = run(capsys, "table", "--max-n", "1100")
+    assert MAX_TABLE_N < 1024
+    assert code == 1 and out == ""
+    assert "ceiling" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "table", "--max-n", str(MAX_TABLE_N), "--json")
+    assert code == 0
+    last = json.loads(out)["rows"][-1]
+    assert last["n"] == MAX_TABLE_N
+    assert all(0.0 < last[k] < 1.0 for k in ("p_loop", "p_generalized", "p_standard"))
+
+
+def test_lhv_cap_above_ceiling_exit_1_before_any_census(capsys, monkeypatch, psi_file):
+    import pcgraph.graph
+
+    def no_census(*args):
+        raise AssertionError("census truth table built despite the ceiling")
+
+    monkeypatch.setattr(pcgraph.graph, "_variable_table", no_census)
+    code, out, err = run(capsys, "verify", psi_file, "--lhv-cap", "100000")
+    assert code == 1 and out == ""
+    assert "ceiling" in err and "Traceback" not in err
+
+
+def test_search_workers_below_one_exit_1(capsys):
+    code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "0")
+    assert code == 1 and out == ""
+    assert "workers" in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,9 +16,10 @@ from pcgraph import (
     is_irreducible,
     validate,
 )
+from pcgraph.graph import MAX_CENSUS_CAP
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
-from _oracles import naive_census, random_valid_pcg
+from _oracles import greedy_uncolorable_subset, naive_census, random_valid_pcg
 
 
 def test_edge_normalizes_and_validates():
@@ -159,6 +161,8 @@ def test_census_cap():
     pcg = loop_pcg(10)
     with pytest.raises(ResourceLimitError):
         brute_force_colorings(pcg, cap=8)
+    with pytest.raises(ResourceLimitError):
+        brute_force_colorings(triangle_pcg(), cap=MAX_CENSUS_CAP + 1)
 
 
 def test_census_matches_naive_oracle_randomized():
@@ -188,20 +192,45 @@ def test_colorable_graph_not_applicable():
     assert is_irreducible(magic_m9_pcg()).status == "not_applicable"
 
 
+def _malformed_pcgs(rng):
+    """Edge lists that break the domain rules; is_irreducible must still be exact."""
+    yield PCG(3, ())
+    yield PCG.build(3, [((1, 2), +1), ((1, 2), -1)])
+    yield PCG.build(4, [((2, 3), +1), ((1, 3), +1), ((1, 2), +1)])  # vertex 4 uncovered
+    yield PCG.build(3, [((1, 2), +1), ((2, 3), +1), ((1, 2), +1), ((1, 3), +1)])
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        edges = [
+            (rng.sample(range(1, n + 1), rng.randint(1, n)), rng.choice((+1, -1)))
+            for _ in range(rng.randint(0, 7))
+        ]
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 2)))  # duplicates
+        yield PCG.build(n, edges)
+
+
 def test_irreducible_means_every_deletion_colorable():
     rng = random.Random(11)
-    seen_irreducible = 0
-    for _ in range(80):
-        pcg = random_valid_pcg(rng, max_n=7, max_edges=6)
+    valid = [random_valid_pcg(rng, max_n=7, max_edges=6) for _ in range(80)]
+    seen = Counter()
+    for pcg in valid + list(_malformed_pcgs(random.Random(12))):
         result = is_irreducible(pcg)
-        if result.status != "irreducible":
+        seen[result.status] += 1
+        if naive_census(pcg)[1] > 0:
+            assert result.status == "not_applicable"
             continue
-        seen_irreducible += 1
-        for drop in range(pcg.p):
-            sub = PCG(pcg.n, tuple(e for i, e in enumerate(pcg.edges) if i != drop))
+        edges = pcg.edges if result.status == "irreducible" else result.witness
+        assert naive_census(PCG(pcg.n, edges))[1] == 0
+        for drop in range(len(edges)):
+            sub = PCG(pcg.n, edges[:drop] + edges[drop + 1:])
             _, sat = naive_census(sub)
             assert sat > 0
-    assert seen_irreducible > 0
+        greedy = greedy_uncolorable_subset(pcg)
+        covered = {v for e in pcg.edges for v in e.vertices} == set(range(1, pcg.n + 1))
+        if greedy == pcg.edges and covered:
+            assert result.status == "irreducible"
+        else:
+            assert (result.status, result.witness) == ("reducible", greedy)
+    assert seen["irreducible"] > 0 and seen["reducible"] > 0 and seen["not_applicable"] > 0
 
 
 # --- from_adjacency_map ------------------------------------------------------

@@ -121,6 +121,36 @@ def test_enumeration_is_complete_by_orbit_counting():
         assert sum(_orbit_size(p) for p in reps) == _labeled_count(n, max_edges)
 
 
+def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
+    import pcgraph.search
+
+    started = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor, so no process starts
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pcgraph.search, "ProcessPoolExecutor", RecordingPool)
+    serial = enumerate_pcgs(3, 3)  # 6 partitions: one per edge mask of size 1 or 2
+    for cpus, expected in ((4, 4), (64, 6), (1, None)):
+        monkeypatch.setattr(pcgraph.search.os, "cpu_count", lambda: cpus)
+        started.clear()
+        assert enumerate_pcgs(3, 3, workers=10**6) == serial
+        assert started == ([] if expected is None else [expected])
+    with pytest.raises(ValueError):
+        enumerate_pcgs(3, 3, workers=0)
+
+
 def test_caps_enforced():
     with pytest.raises(ResourceLimitError):
         enumerate_pcgs(7, 3)
