@@ -325,7 +325,7 @@ def is_irreducible(pcg: PCG) -> IrreducibilityResult:
     keep = []
     for i, e in enumerate(pcg.edges):
         bit = 2 << i
-        lead = next((y for y in proofs if y & bit), 0)
+        lead = next((y for y in proofs if y & bit), 0)  # 0: every proof already has y_i = 0
         restricted = [y ^ lead if y & bit else y for y in proofs if y != lead]
         if any(y & 1 for y in restricted):
             proofs = restricted
