@@ -32,6 +32,8 @@ SIMULATE_VARIANTS = {
 SEARCH_VARIANTS = {
     "n4-e4": ["--n", "4", "--max-edges", "4"],
     "n5-e3-irreducible": ["--n", "5", "--max-edges", "3", "--irreducible-only"],
+    "n5-e4-irreducible": ["--n", "5", "--max-edges", "4", "--irreducible-only"],
+    "n6-e2": ["--n", "6", "--max-edges", "2"],
 }
 
 
