@@ -275,9 +275,7 @@ def cmd_search(args) -> int:
     census = classify(stream)
     payload = census.to_json_dict()
     if not args.irreducible_only:
-        payload["instances"] = [
-            {"n": p.n, "edges": [e.to_json_dict() for e in p.edges]} for p in stream
-        ]
+        payload["instances"] = [p.to_json_dict() for p in stream]
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

@@ -102,11 +102,7 @@ def from_json_dict(data) -> PcgFile:
 
 
 def to_json_dict(instance: PcgFile) -> dict:
-    out: dict = {
-        "n": instance.pcg.n,
-        "d": instance.d,
-        "edges": [e.to_json_dict() for e in instance.pcg.edges],
-    }
+    out: dict = {**instance.pcg.to_json_dict(), "d": instance.d}
     alpha = instance.alpha
     if alpha.imag == 0.0 and alpha.real >= 0.0:
         out["alpha"] = {"magnitude": alpha.real}

@@ -15,7 +15,7 @@ vertex 1 in the least significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PcgValidationError, ResourceLimitError
 from .gf2 import Gf2Matrix, Gf2Vector, eliminate
@@ -97,6 +97,10 @@ class PCG:
     def p(self) -> int:
         return len(self.edges)
 
+    def to_json_dict(self) -> dict:
+        """The graph as it appears in search output and certificate digests."""
+        return {"n": self.n, "edges": [e.to_json_dict() for e in self.edges]}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -161,6 +165,32 @@ class IrreducibilityResult:
     witness: tuple[SignedEdge, ...] | None = None
 
 
+def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(i, j) for each edge mask i contained in edge mask j, in order of i then j.
+
+    Equal masks are reported once, with i < j; none means an antichain.
+    """
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if i != j and mi | mj == mj and (i < j or mi != mj):
+                yield i, j
+
+
+def components(masks: Iterable[int]) -> list[int]:
+    """Vertex masks of the connected components of the edges with these masks."""
+    parts: list[int] = []
+    for m in masks:
+        apart = []
+        for part in parts:
+            if part & m:
+                m |= part
+            else:
+                apart.append(part)
+        apart.append(m)
+        parts = apart
+    return parts
+
+
 def validate(pcg: PCG) -> ValidationReport:
     """Check the domain rules; violations are returned, never raised."""
     violations: list[Violation] = []
@@ -172,48 +202,32 @@ def validate(pcg: PCG) -> ValidationReport:
                 (i,),
             ))
     masks = [e.mask for e in pcg.edges]
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if i != j:
-                # mi subset of mj; duplicate vertex sets are reported once
-                if mi | mj == mj and (i < j or mi != mj):
-                    violations.append(Violation(
-                        "nested-edges",
-                        f"edge #{i} {set(pcg.edges[i].vertices)} is contained in "
-                        f"edge #{j} {set(pcg.edges[j].vertices)}",
-                        (i, j),
-                    ))
+    for i, j in nested_pairs(masks):
+        violations.append(Violation(
+            "nested-edges",
+            f"edge #{i} {set(pcg.edges[i].vertices)} is contained in "
+            f"edge #{j} {set(pcg.edges[j].vertices)}",
+            (i, j),
+        ))
     # Connected with no isolated sub-structures: every vertex covered and
     # the edge hypergraph forms a single component.
-    parent = list(range(pcg.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    covered = set()
-    for e in pcg.edges:
-        covered.update(e.vertices)
-        root = find(e.vertices[0])
-        for v in e.vertices[1:]:
-            parent[find(v)] = root
-    uncovered = sorted(set(range(1, pcg.n + 1)) - covered)
+    parts = components(masks)
+    covered = 0
+    for part in parts:
+        covered |= part
+    uncovered = [v for v in range(1, pcg.n + 1) if not covered >> (v - 1) & 1]
     if uncovered:
         violations.append(Violation(
             "disconnected",
             f"vertices {uncovered} belong to no edge",
         ))
-    roots = {find(v) for v in covered}
-    if len(roots) > 1:
-        components = {}
-        for v in sorted(covered):
-            components.setdefault(find(v), []).append(v)
-        parts = sorted(components.values())
+    if len(parts) > 1:
+        vertex_lists = sorted(
+            [v for v in range(1, pcg.n + 1) if part >> (v - 1) & 1] for part in parts
+        )
         violations.append(Violation(
             "disconnected",
-            f"edge hypergraph splits into components {parts}",
+            f"edge hypergraph splits into components {vertex_lists}",
         ))
     return ValidationReport(tuple(violations))
 

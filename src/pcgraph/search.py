@@ -4,11 +4,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ResourceLimitError
-from .graph import PCG, SignedEdge, is_colorable, is_irreducible
+from .graph import PCG, SignedEdge, components, is_colorable, is_irreducible, nested_pairs
 
 MAX_N = 6
 MAX_EDGES = 12
@@ -50,37 +51,41 @@ def pcg_from_canonical(form: CanonicalForm) -> PCG:
     ))
 
 
-def _is_antichain(masks: Sequence[int]) -> bool:
-    for i, mi in enumerate(masks):
-        for mj in masks[i + 1:]:
-            if mi & mj in (mi, mj):
-                return False
-    return True
+@cache
+def _relabel_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each of the n! relabelings, the relabeled mask indexed by mask (once per n)."""
+    tables = []
+    for perm in permutations(range(n)):
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def _is_connected(masks: Sequence[int], n: int) -> bool:
-    covered = 0
-    for m in masks:
-        covered |= m
-    if covered != (1 << n) - 1:
-        return False
-    parent = list(range(n))
+def _signed_forms(n: int, masks: tuple[int, ...]) -> set[CanonicalForm]:
+    """Canonical forms of every signing of the ascending structure ``masks``.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m in masks:
-        first = (m & -m).bit_length() - 1
-        root = find(first)
-        rest = m ^ (1 << first)
-        while rest:
-            low = rest & -rest
-            parent[find(low.bit_length() - 1)] = root
-            rest ^= low
-    return len({find(v) for v in range(n)}) == 1
+    Empty unless ``masks`` is its own unsigned canonical form, so each
+    structure is signed in exactly one labeling.  Signing any other
+    labeling would only relabel the same graphs.  The signed form is the
+    minimum over every relabeling, not just the unsigned minimum: pairs
+    compare edge 1's theta before edge 2's mask.
+    """
+    tables = _relabel_tables(n)
+    for table in tables:
+        if tuple(sorted(map(table.__getitem__, masks))) < masks:
+            return set()
+    relabelings = set()
+    for table in tables:
+        image, order = zip(*sorted((table[m], i) for i, m in enumerate(masks)))
+        if image[0] == masks[0]:  # a larger first mask loses whatever the signs
+            relabelings.add((image, order))
+    return {
+        (n, min(tuple(zip(image, map(signs.__getitem__, order))) for image, order in relabelings))
+        for signs in product((+1, -1), repeat=len(masks))
+    }
 
 
 def _enumerate_partition(args: tuple[int, tuple[int, ...], int, int]) -> set[CanonicalForm]:
@@ -89,21 +94,12 @@ def _enumerate_partition(args: tuple[int, tuple[int, ...], int, int]) -> set[Can
     found: set[CanonicalForm] = set()
     first = universe[first_idx]
     rest = universe[first_idx + 1:]
+    connected = [(1 << n) - 1]
     for extra in range(max_edges):
         for tail in combinations(rest, extra):
             masks = (first,) + tail
-            if not _is_antichain(masks):
-                continue
-            if not _is_connected(masks, n):
-                continue
-            for signs in product((+1, -1), repeat=len(masks)):
-                pcg = PCG(n, tuple(
-                    SignedEdge(
-                        tuple(v + 1 for v in range(n) if (m >> v) & 1), s
-                    )
-                    for m, s in zip(masks, signs)
-                ))
-                found.add(canonical_form(pcg))
+            if next(nested_pairs(masks), None) is None and components(masks) == connected:
+                found |= _signed_forms(n, masks)
     return found
 
 
@@ -157,10 +153,7 @@ class SearchCensus:
             "colorable": self.colorable,
             "uncolorable": self.uncolorable,
             "irreducible": self.irreducible,
-            "representatives": [
-                {"n": p.n, "edges": [e.to_json_dict() for e in p.edges]}
-                for p in self.representatives
-            ],
+            "representatives": [p.to_json_dict() for p in self.representatives],
         }
 
 

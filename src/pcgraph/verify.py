@@ -55,11 +55,7 @@ def _complex_dict(z: complex) -> dict[str, float]:
 
 def pcg_digest(pcg: PCG) -> str:
     """Stable SHA-256 digest of the graph as given (order-sensitive)."""
-    payload = {
-        "n": pcg.n,
-        "edges": [e.to_json_dict() for e in pcg.edges],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(pcg.to_json_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -7,10 +7,11 @@ nested loops, and state checks from dense numpy linear algebra.
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from pcgraph import PCG, SignedEdge, BTerm, validate
+from pcgraph import PCG, SignedEdge, BTerm, canonical_form, validate
 
 
 def span_rank(rows: list[int]) -> int:
@@ -58,6 +59,42 @@ def greedy_uncolorable_subset(pcg: PCG) -> tuple[SignedEdge, ...]:
         else:
             i += 1
     return tuple(keep)
+
+
+def _connected_cover(n: int, edges: tuple[frozenset[int], ...]) -> bool:
+    """Do the edges reach every vertex 1..n from the first edge?"""
+    reached = set(edges[0])
+    grew = True
+    while grew:
+        grew = False
+        for e in edges:
+            if e & reached and not e <= reached:
+                reached |= e
+                grew = True
+    return reached == set(range(1, n + 1))
+
+
+def reference_enumeration(n: int, max_edges: int, sizes=None) -> list:
+    """Sorted canonical forms of every signing of every labeled valid structure.
+
+    Every connected antichain of allowed edges, in every labeling, times
+    every sign vector, goes through ``canonical_form``; nothing is
+    skipped on the grounds of symmetry.
+    """
+    allowed = range(1, n) if sizes is None else sorted({s for s in sizes if 1 <= s < n})
+    universe = [frozenset(c) for size in allowed for c in combinations(range(1, n + 1), size)]
+    forms = set()
+    for p in range(1, max_edges + 1):
+        for combo in combinations(universe, p):
+            if any(a <= b for a, b in permutations(combo, 2)):
+                continue
+            if not _connected_cover(n, combo):
+                continue
+            for signs in product((+1, -1), repeat=p):
+                forms.add(canonical_form(PCG(n, tuple(
+                    SignedEdge(tuple(e), s) for e, s in zip(combo, signs)
+                ))))
+    return sorted(forms)
 
 
 def random_valid_pcg(rng: random.Random, max_n: int = 10, max_edges: int = 8) -> PCG:

@@ -16,6 +16,8 @@ from pcgraph import (
 )
 from pcgraph.catalog import triangle_pcg
 
+from _oracles import reference_enumeration
+
 
 def test_no_valid_two_vertex_instances():
     assert enumerate_pcgs(2, 2, sizes=[1]) == []
@@ -115,10 +117,31 @@ def _orbit_size(pcg):
 def test_enumeration_is_complete_by_orbit_counting():
     # orbit sizes of the canonical classes must add up to the number of
     # labeled valid instances counted without any isomorphism machinery
-    for n, max_edges, expected_classes in ((3, 5, 7), (4, 5, 78)):
+    for n, max_edges, expected_classes in ((3, 5, 7), (4, 5, 78), (5, 3, 112), (6, 2, 22)):
         reps = enumerate_pcgs(n, max_edges)
         assert len(reps) == expected_classes
         assert sum(_orbit_size(p) for p in reps) == _labeled_count(n, max_edges)
+
+
+ORACLE_SHAPES = [
+    (n, max_edges, sizes)
+    for n in range(1, 5)
+    for max_edges in range(7)
+    for sizes in (None, (2,), (1, 2))
+] + [(5, 2, None), (5, 3, None), (5, 4, (4,))]
+
+
+@pytest.mark.parametrize("n,max_edges,sizes", ORACLE_SHAPES, ids=[
+    f"n{n}-e{max_edges}" + ("" if sizes is None else "-sizes" + "".join(map(str, sizes)))
+    for n, max_edges, sizes in ORACLE_SHAPES
+])
+def test_enumeration_matches_reference_walk(n, max_edges, sizes):
+    # the search signs each structure in one labeling only; the reference
+    # signs every labeling and canonicalises each signing on its own
+    stream = enumerate_pcgs(n, max_edges, sizes)
+    assert [canonical_form(p) for p in stream] == reference_enumeration(n, max_edges, sizes)
+    for p in stream:
+        assert canonical_form(p) == (p.n, tuple((e.mask, e.theta) for e in p.edges))
 
 
 def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
