@@ -74,7 +74,7 @@ def _signed_forms(n: int, masks: tuple[int, ...]) -> set[CanonicalForm]:
     compare edge 1's theta before edge 2's mask.
     """
     tables = _relabel_tables(n)
-    for table in tables:
+    for table in tables:  # most structures are relabeled copies: reject them cheaply
         if tuple(sorted(map(table.__getitem__, masks))) < masks:
             return set()
     relabelings = set()

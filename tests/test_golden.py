@@ -1,8 +1,8 @@
 """Byte-for-byte golden output of the CLI.
 
 ``verify --json`` and ``check --json`` for every catalog entry with an
-instance file, ``simulate --json`` for two small instances, and two
-``search`` runs must print exactly the bytes stored under
+instance file, ``simulate --json`` for two small instances, and four
+``search`` runs (n = 4, 5 and 6) must print exactly the bytes stored under
 ``tests/golden/``.  A run that exits nonzero (the
 deliberately invalid ``magic-m16-tilde``) also pins its exit code and
 stderr.  To re-record (only when an output change is intended), run
