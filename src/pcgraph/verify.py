@@ -333,24 +333,21 @@ def _qudit_census(d: int, n: int) -> tuple[int, int]:
     """Count assignments of omega-powers satisfying all n leave-one-out sums.
 
     Constraint for conditioned site j: sum of the other n-1 powers must
-    be 1 mod d.  Enumeration is exhaustive over d^n assignments,
-    vectorized in chunks.
+    be 1 mod d, i.e. the full sum must equal the power at j plus one.
+    Enumeration is exhaustive over d^n assignments, held as a (d,)*n
+    grid whose axis k is the power at site k+1.  The full sum grows one
+    broadcast axis at a time and is reduced mod d after every add, so
+    int8 cannot overflow.
     """
-    total = d ** n
-    chunk = 1 << 20
-    satisfying = 0
-    place = [d ** k for k in range(n)]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = [((idx // place[k]) % d).astype(np.int16) for k in range(n)]
-        full = np.zeros(idx.shape, dtype=np.int16)
-        for arr in digits:
-            full += arr
-        ok = np.ones(idx.shape, dtype=bool)
-        for k in range(n):
-            ok &= ((full - digits[k]) % d) == 1
-        satisfying += int(np.count_nonzero(ok))
-    return total, satisfying
+    powers = np.arange(d, dtype=np.int8)
+    full = powers
+    for _ in range(n - 1):
+        full = (full[..., None] + powers) % d
+    target = (powers + 1) % d
+    ok = np.ones(full.shape, dtype=bool)
+    for k in range(n):
+        ok &= full == target.reshape((1,) * k + (d,) + (1,) * (n - 1 - k))
+    return full.size, int(np.count_nonzero(ok))
 
 
 def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCertificate:

@@ -48,6 +48,38 @@ def naive_census(pcg: PCG) -> tuple[int, int]:
     return 1 << pcg.n, sat
 
 
+def naive_first_witness(pcg: PCG) -> int | None:
+    """Least satisfying assignment in binary-counter order, or None."""
+    for bits in range(1 << pcg.n):
+        if all((bits & e.mask).bit_count() & 1 == e.theta_bit for e in pcg.edges):
+            return bits
+    return None
+
+
+def truth_table_census(pcg: PCG) -> tuple[int, int, int | None]:
+    """(total, satisfying, least satisfying assignment) from whole 2^n-bit tables.
+
+    Each edge's satisfaction over every assignment is one 2^n-bit int,
+    the XOR of per-vertex tables built by doubling a run of 2^(v-1)
+    zeros and 2^(v-1) ones; the satisfying set is the AND over edges.
+    """
+    total = 1 << pcg.n
+    ones = (1 << total) - 1
+    acc = ones
+    for e in pcg.edges:
+        parity = 0
+        for v in e.vertices:
+            run = 1 << (v - 1)
+            table, width = ((1 << run) - 1) << run, 2 * run  # set where vertex v is red
+            while width < total:
+                table |= table << width
+                width <<= 1
+            parity ^= table
+        acc &= parity if e.theta_bit else ~parity & ones
+    first = (acc & -acc).bit_length() - 1 if acc else None
+    return total, acc.bit_count(), first
+
+
 def greedy_uncolorable_subset(pcg: PCG) -> tuple[SignedEdge, ...]:
     """Drop edges in order while the rest stays un-colorable, judged by census."""
     keep = list(pcg.edges)

@@ -323,6 +323,18 @@ def test_lhv_cap_above_ceiling_exit_1_before_any_census(capsys, monkeypatch, psi
     assert "ceiling" in err and "Traceback" not in err
 
 
+def test_lhv_cap_at_ceiling_exit_0_and_above_exit_1(capsys, psi_file):
+    from pcgraph.graph import MAX_CENSUS_CAP
+
+    assert MAX_CENSUS_CAP == 30
+    code, out, _ = run(capsys, "verify", psi_file, "--lhv-cap", "30", "--json")
+    assert code == 0
+    assert json.loads(out)["lhv_census"] == {"skipped": False, "total": 8, "satisfying": 0}
+    code, out, err = run(capsys, "verify", psi_file, "--lhv-cap", "31")
+    assert code == 1 and out == ""
+    assert "ceiling" in err and "Traceback" not in err
+
+
 def test_search_workers_below_one_exit_1(capsys):
     code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "0")
     assert code == 1 and out == ""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -16,10 +17,17 @@ from pcgraph import (
     is_irreducible,
     validate,
 )
+from pcgraph import graph
 from pcgraph.graph import MAX_CENSUS_CAP
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
-from _oracles import greedy_uncolorable_subset, naive_census, random_valid_pcg
+from _oracles import (
+    greedy_uncolorable_subset,
+    naive_census,
+    naive_first_witness,
+    random_valid_pcg,
+    truth_table_census,
+)
 
 
 def test_edge_normalizes_and_validates():
@@ -173,6 +181,65 @@ def test_census_matches_naive_oracle_randomized():
         assert (census.total, census.satisfying) == naive_census(pcg)
         if census.first_witness is not None:
             assert census.first_witness.satisfies(pcg)
+
+
+def _witness_bits(census) -> int | None:
+    return None if census.first_witness is None else census.first_witness.bits
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+def test_census_blocks_match_naive_oracle(monkeypatch, block_bits):
+    # blocks smaller than n, so most graphs span many blocks and the
+    # first witness often lies beyond the first one
+    monkeypatch.setattr(graph, "CENSUS_BLOCK_BITS", block_bits)
+    rng = random.Random(100 + block_bits)
+    for _ in range(40):
+        pcg = random_valid_pcg(rng, max_n=10, max_edges=6)
+        census = brute_force_colorings(pcg)
+        assert (census.total, census.satisfying) == naive_census(pcg)
+        assert _witness_bits(census) == naive_first_witness(pcg)
+
+
+def _random_antichain(rng: random.Random, n: int, p: int) -> PCG:
+    masks, edges = [], []
+    while len(edges) < p:
+        verts = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+        mask = sum(1 << (v - 1) for v in verts)
+        if any(mask & m in (mask, m) for m in masks):
+            continue
+        masks.append(mask)
+        edges.append(SignedEdge(tuple(verts), rng.choice((+1, -1))))
+    return PCG(n, tuple(edges))
+
+
+def test_census_matches_whole_table_census_above_one_block():
+    rng = random.Random(17)
+    for n in range(17, 22):
+        loop = loop_pcg(n)
+        flipped = PCG(n, (SignedEdge(loop.edges[0].vertices, -loop.edges[0].theta),)
+                      + loop.edges[1:])
+        randoms = [_random_antichain(rng, n, rng.randint(1, 6)) for _ in range(3)]
+        # vertex n red: every satisfying assignment lies past the first block
+        top_red = PCG(n, _random_antichain(rng, n - 1, 4).edges + (SignedEdge((n,), +1),))
+        for pcg in [loop, flipped, *randoms, top_red]:
+            census = brute_force_colorings(pcg)
+            assert (census.total, census.satisfying, _witness_bits(census)) == \
+                truth_table_census(pcg)
+
+
+def test_census_memory_is_bounded_by_its_blocks():
+    # The census keeps a few 2^k-bit tables per edge; a whole-table
+    # census of loop n=22 holds several 2^22-bit (512 KB) ints at once.
+    pcg = loop_pcg(22)
+    bound = 4 * pcg.p * (1 << graph.CENSUS_BLOCK_BITS) // 8
+    tracemalloc.start()
+    try:
+        census = brute_force_colorings(pcg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (census.total, census.satisfying) == (1 << 22, 0)
+    assert peak < bound < 1 << 20
 
 
 # --- is_irreducible ----------------------------------------------------------

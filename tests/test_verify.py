@@ -140,6 +140,23 @@ def test_qudit_d3_certificate():
     assert (cert.census_total, cert.census_satisfying) == (81, 0)
 
 
+def test_qudit_census_matches_itertools_count():
+    from itertools import product as iter_product
+
+    from pcgraph.verify import _qudit_census
+
+    nonzero = 0
+    for d in range(2, 6):
+        for n in range(1, 6):
+            satisfying = sum(
+                all((sum(a) - a[j]) % d == 1 for j in range(n))
+                for a in iter_product(range(d), repeat=n)
+            )
+            assert _qudit_census(d, n) == (d ** n, satisfying), (d, n)
+            nonzero += satisfying > 0
+    assert nonzero >= 10  # e.g. d=2, n=2: (1, 1)
+
+
 def test_qudit_d2_matches_minimal_instance():
     cert = verify_qudit_family(2)
     minimal = verify(triangle_pcg())
