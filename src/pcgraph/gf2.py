@@ -1,8 +1,11 @@
 """Exact linear algebra over GF(2) on bit-packed rows.
 
 Rows are Python ints used as bitsets; bit ``j`` of a row is the entry in
-column ``j``.  Elimination always pivots on the lowest set column, so
-every result is deterministic.
+column ``j``.  The one elimination kernel, :func:`eliminate`, inserts
+rows into a row echelon form keyed by each row's lowest set column, so
+a row is reduced only along its own bits and every result is
+deterministic.  :func:`back_substitute` reads the solution with free
+variables 0 off that echelon form.
 """
 from __future__ import annotations
 
@@ -122,32 +125,51 @@ class Gf2Matrix:
 
 
 def eliminate(rows: list[int], cols: int) -> list[int]:
-    """Reduce ``rows`` in place to reduced row echelon form on columns ``0..cols-1``.
+    """Reduce ``rows`` in place to row echelon form on columns ``0..cols-1``.
 
-    Returns the pivot columns: row k now leads at ``pivots[k]``, and the
-    later rows are zero below ``cols``.  Bits at or above ``cols`` ride
-    along with every row operation (a right-hand side, a row tag).
+    Each row in turn cancels its lowest set column against the pivot row
+    that leads there, until it leads at a new column or vanishes below
+    ``cols``.  Returns the pivot columns in ascending order: row k now
+    leads at ``pivots[k]``, and the later rows are zero below ``cols``.
+    Pivot rows are not reduced above their lead.  The pivot columns are
+    the lowest set columns of the row space, so they do not depend on
+    the row order.  Bits at or above ``cols`` ride along with every row
+    operation (a right-hand side, a row tag).
     """
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        bit = 1 << c
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r]
-        for i, row in enumerate(rows):
-            if row & bit and i != r:
-                rows[i] = row ^ lead
-        pivots.append(c)
+    low = (1 << cols) - 1
+    lead_row: dict[int, int] = {}
+    zero_rows = []
+    for row in rows:
+        while bits := row & low:
+            c = (bits & -bits).bit_length() - 1
+            pivot = lead_row.get(c)
+            if pivot is None:
+                lead_row[c] = row
+                break
+            row ^= pivot
+        else:
+            zero_rows.append(row)
+    pivots = sorted(lead_row)
+    rows[:] = [lead_row[c] for c in pivots] + zero_rows
     return pivots
 
 
+def back_substitute(rows: list[int], pivots: list[int], cols: int) -> int:
+    """The solution of the echelon system with every free variable 0.
+
+    ``rows`` and ``pivots`` are as :func:`eliminate` leaves them; bit
+    ``cols`` of each row is its right-hand side.  Pivot variables are
+    fixed from the last pivot back, each from the variables above it.
+    """
+    x = 0
+    for row, c in zip(reversed(rows[:len(pivots)]), reversed(pivots)):
+        if ((row & x).bit_count() ^ row >> cols) & 1:
+            x |= 1 << c
+    return x
+
+
 def rank(m: Gf2Matrix) -> int:
-    """Row rank over GF(2) via Gaussian elimination; input untouched."""
+    """Row rank over GF(2) via :func:`eliminate`; input untouched."""
     return len(eliminate(list(m.row_bits), m.cols))
 
 
@@ -164,7 +186,4 @@ def solve(a: Gf2Matrix, rhs: Gf2Vector) -> Gf2Vector | None:
     pivots = eliminate(work, a.cols)
     if any(row & rhs_bit for row in work[len(pivots):]):
         return None
-    # After full reduction each pivot row reads x[pivot] + (free terms) = rhs;
-    # with free variables zeroed the pivot value is the augmented bit itself.
-    x = sum(1 << c for row, c in zip(work, pivots) if row & rhs_bit)
-    return Gf2Vector(a.cols, x)
+    return Gf2Vector(a.cols, back_substitute(work, pivots, a.cols))

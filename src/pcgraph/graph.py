@@ -14,11 +14,13 @@ vertex 1 in the least significant bit.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PcgValidationError, ResourceLimitError
-from .gf2 import Gf2Matrix, Gf2Vector, eliminate
+from .gf2 import Gf2Matrix, Gf2Vector, back_substitute, eliminate
 
 DEFAULT_CENSUS_CAP = 24
 # The blocked census keeps process RSS flat (34 MB at n = 24..30) while
@@ -47,12 +49,11 @@ class SignedEdge:
             raise ValueError(f"theta must be +1 or -1, got {self.theta}")
         object.__setattr__(self, "vertices", verts)
 
-    @property
+    @cached_property
     def mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << (v - 1)
-        return m
+        """Bit v-1 set for each vertex v; built on first use, not at
+        construction, so a graph can reject an out-of-range vertex first."""
+        return sum(1 << (v - 1) for v in self.vertices)
 
     @property
     def size(self) -> int:
@@ -168,15 +169,39 @@ class IrreducibilityResult:
     witness: tuple[SignedEdge, ...] | None = None
 
 
+# Up to this many masks, testing every pair is faster than bucketing them:
+# the search tests lists of 2-6 masks about a million times at n = 6.
+PAIRWISE_MAX = 8
+
+
 def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(i, j) for each edge mask i contained in edge mask j, in order of i then j.
 
     Equal masks are reported once, with i < j; none means an antichain.
+    Masks are bucketed by size: mask i can lie in a mask of larger size,
+    and in a mask of its own size only if the two are equal, which a
+    lookup finds.  So masks of one size cost O(p), not O(p^2).
     """
+    if len(masks) <= PAIRWISE_MAX:
+        for i, mi in enumerate(masks):
+            for j, mj in enumerate(masks):
+                if i != j and mi | mj == mj and (i < j or mi != mj):
+                    yield i, j
+        return
+    by_size: dict[int, list[int]] = {}
+    by_mask: dict[int, list[int]] = {}
+    for j, m in enumerate(masks):
+        by_size.setdefault(m.bit_count(), []).append(j)
+        by_mask.setdefault(m, []).append(j)
     for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if i != j and mi | mj == mj and (i < j or mi != mj):
-                yield i, j
+        size = mi.bit_count()
+        js = [j for s, bucket in by_size.items() if s > size
+              for j in bucket if mi & masks[j] == mi]
+        equal = by_mask[mi]
+        js += equal[bisect_right(equal, i):]
+        js.sort()
+        for j in js:
+            yield i, j
 
 
 def components(masks: Iterable[int]) -> list[int]:
@@ -192,6 +217,16 @@ def components(masks: Iterable[int]) -> list[int]:
         apart.append(m)
         parts = apart
     return parts
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The vertices (1-based bit positions) of ``mask``, ascending, in O(bit length)."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    found, at = [], bits.find("1")
+    while at >= 0:
+        found.append(at + 1)
+        at = bits.find("1", at + 1)
+    return found
 
 
 def validate(pcg: PCG) -> ValidationReport:
@@ -218,16 +253,14 @@ def validate(pcg: PCG) -> ValidationReport:
     covered = 0
     for part in parts:
         covered |= part
-    uncovered = [v for v in range(1, pcg.n + 1) if not covered >> (v - 1) & 1]
+    uncovered = ((1 << pcg.n) - 1) & ~covered
     if uncovered:
         violations.append(Violation(
             "disconnected",
-            f"vertices {uncovered} belong to no edge",
+            f"vertices {mask_vertices(uncovered)} belong to no edge",
         ))
     if len(parts) > 1:
-        vertex_lists = sorted(
-            [v for v in range(1, pcg.n + 1) if part >> (v - 1) & 1] for part in parts
-        )
+        vertex_lists = sorted(mask_vertices(part) for part in parts)
         violations.append(Violation(
             "disconnected",
             f"edge hypergraph splits into components {vertex_lists}",
@@ -251,7 +284,8 @@ def hardy_matrices(pcg: PCG) -> tuple[Gf2Matrix, Gf2Vector]:
 def _reduce_hardy_system(pcg: PCG) -> tuple[list[int], list[int]]:
     """Rows ``e.mask | theta_bit << n | 1 << (n + 1 + i)`` reduced on the n vertex columns.
 
-    Pivot rows give rank(A) and the coloring with free variables green.
+    Pivot rows give rank(A) and, through back substitution, the coloring
+    with free variables green.
     The other rows, shifted right by n, span the left kernel {y : y A = 0}
     with bit 0 = y.Theta and bit i + 1 = y_i; an odd y is a proof that
     the edges it selects cannot all be satisfied.
@@ -273,7 +307,7 @@ def is_colorable(pcg: PCG) -> ColorabilityResult:
     theta_bit = 1 << pcg.n
     if any(row & theta_bit for row in rows[rank_a:]):
         return ColorabilityResult(False, rank_a, rank_a + 1, None)
-    bits = sum(1 << c for row, c in zip(rows, pivots) if row & theta_bit)
+    bits = back_substitute(rows, pivots, pcg.n)
     return ColorabilityResult(True, rank_a, rank_a, Coloring.from_bits(bits, pcg.n))
 
 

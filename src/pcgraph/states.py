@@ -197,15 +197,32 @@ def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, co
             if all(k // place % d == digit for place, digit in places)}
 
 
+def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, complex]:
+    """The qubit amplitudes whose key agrees with ``want`` on the bits of ``mask``."""
+    if state.d != 2:
+        raise ValueError(f"a site mask conditions qubits only, got d={state.d}")
+    if mask < 0 or mask >> state.n:
+        raise ValueError(f"site mask {mask:#x} has sites outside 1..{state.n}")
+    if want & ~mask:
+        raise ValueError(f"outcome bits {want & ~mask:#x} lie outside the site mask {mask:#x}")
+    return {k: a for k, a in state.amplitudes.items() if k & mask == want}
+
+
 def project_z(
-    state: SparseState, assignment: Mapping[int, int]
+    state: SparseState, assignment: Mapping[int, int] | int, want: int = 0
 ) -> tuple[float, SparseState | None]:
     """Condition on Z outcomes: returns (probability, renormalized state).
 
-    ``assignment`` maps 1-based sites to observed digits.  A zero
-    probability returns None for the post state.
+    ``assignment`` maps 1-based sites to observed digits.  For qubits it
+    may instead be a site mask (bit v-1 for site v): the outcome on those
+    sites is then read from the same bits of ``want``, so ``want = 0``
+    conditions every masked site on Z = +1.  A zero probability returns
+    None for the post state.
     """
-    matching = _matching(state, assignment)
+    if isinstance(assignment, int):
+        matching = _matching_mask(state, assignment, want)
+    else:
+        matching = _matching(state, assignment)
     prob = sum(abs(a) ** 2 for a in matching.values())
     if prob <= 0.0:
         return 0.0, None

@@ -33,6 +33,7 @@ from .graph import (
     Coloring,
     brute_force_colorings,
     is_colorable,
+    mask_vertices,
     require_valid,
 )
 from .states import (
@@ -197,11 +198,13 @@ def verify(
             )
 
     state = build_state(pcg, alpha, b_terms)
-    all_sites = set(range(1, pcg.n + 1))
+    full = (1 << pcg.n) - 1
+    union_mask = 0
     checks = []
     for e in pcg.edges:
-        complement = sorted(all_sites - set(e.vertices))
-        _, post = project_z(state, dict.fromkeys(complement, 0))
+        complement = full ^ e.mask
+        union_mask |= complement
+        _, post = project_z(state, complement)
         dist = x_product_distribution(post, e.vertices)
         checks.append(HardyCheck(
             edge=e.vertices,
@@ -210,9 +213,7 @@ def verify(
             probability=dist[e.theta_bit],  # power 1 is eigenvalue -1
         ))
 
-    union_complements = sorted(
-        {v for e in pcg.edges for v in all_sites - set(e.vertices)}
-    )
+    union_complements = mask_vertices(union_mask)
     simulated = joint_z_probability(state, union_complements, 0)
     formula = abs(alpha) ** 2 / (pcg.p + 1)
     success = SuccessRecord(

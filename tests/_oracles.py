@@ -1,8 +1,11 @@
 """Independent oracles and instance generators used across the tests.
 
 Everything here deliberately avoids the library's production code
-paths: ranks come from subset-span enumeration, censuses from plain
-nested loops, and state checks from dense numpy linear algebra.
+paths: ranks come from subset-span enumeration or a Gauss-Jordan loop,
+censuses from plain nested loops, and state checks from dense numpy
+linear algebra.  The Hardy records are the one exception: they reuse
+the state kernels, but condition through per-site assignment maps
+instead of the site masks that ``verify`` uses.
 """
 from __future__ import annotations
 
@@ -11,7 +14,17 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from pcgraph import PCG, SignedEdge, BTerm, canonical_form, validate
+from pcgraph import (
+    PCG,
+    BTerm,
+    SignedEdge,
+    build_state,
+    canonical_form,
+    joint_z_probability,
+    project_z,
+    validate,
+    x_product_distribution,
+)
 
 
 def span_rank(rows: list[int]) -> int:
@@ -22,6 +35,69 @@ def span_rank(rows: list[int]) -> int:
     size = len(span)
     assert size & (size - 1) == 0
     return size.bit_length() - 1
+
+
+def gauss_jordan_eliminate(rows: list[int], cols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row echelon form on columns ``0..cols-1``.
+
+    Returns the pivot columns: row k now leads at ``pivots[k]``, and the
+    later rows are zero below ``cols``.  Bits at or above ``cols`` ride
+    along with every row operation (a right-hand side, a row tag).
+    """
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        bit = 1 << c
+        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r]
+        for i, row in enumerate(rows):
+            if row & bit and i != r:
+                rows[i] = row ^ lead
+        pivots.append(c)
+    return pivots
+
+
+def gauss_jordan_witness(rows: list[int], cols: int) -> int | None:
+    """Solution with free variables 0 of the system whose right-hand side is bit ``cols``.
+
+    Reads it off the fully reduced pivot rows, or returns None if some
+    row reduces to 0 = 1.
+    """
+    work = list(rows)
+    pivots = gauss_jordan_eliminate(work, cols)
+    if any(row >> cols & 1 for row in work[len(pivots):]):
+        return None
+    return sum(1 << c for row, c in zip(work, pivots) if row >> cols & 1)
+
+
+def pairwise_nested_pairs(masks):
+    """Every (i, j) with mask i inside mask j, equal masks once with i < j, by a double loop."""
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if i != j and mi | mj == mj and (i < j or mi != mj):
+                yield i, j
+
+
+def per_site_hardy_records(pcg: PCG, alpha=1.0, b_terms=()):
+    """Hardy probabilities and success record by conditioning on per-site assignment maps.
+
+    Each edge's complement is conditioned on Z = +1 through a site ->
+    digit map; the success event conditions the union of complements.
+    """
+    state = build_state(pcg, alpha, b_terms)
+    all_sites = set(range(1, pcg.n + 1))
+    probabilities = []
+    for e in pcg.edges:
+        complement = sorted(all_sites - set(e.vertices))
+        _, post = project_z(state, dict.fromkeys(complement, 0))
+        probabilities.append(x_product_distribution(post, e.vertices)[e.theta_bit])
+    union = sorted({v for e in pcg.edges for v in all_sites - set(e.vertices)})
+    return probabilities, tuple(union), joint_z_probability(state, union, 0)
 
 
 def exhaustive_solve_exists(rows: list[int], rhs_bits: list[int], cols: int) -> bool:

@@ -3,9 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcgraph.gf2 import Gf2Matrix, Gf2Vector, rank, solve
+from pcgraph.gf2 import Gf2Matrix, Gf2Vector, back_substitute, eliminate, rank, solve
 
-from _oracles import exhaustive_solve_exists, span_rank
+from _oracles import (
+    exhaustive_solve_exists,
+    gauss_jordan_eliminate,
+    gauss_jordan_witness,
+    span_rank,
+)
 
 
 def mat(rows, cols=None):
@@ -121,3 +126,65 @@ def test_augmented_rank_and_consistency(m, rhs_bits):
     r_aug = rank(m.augment_column(rhs))
     assert r_aug in (r, r + 1)
     assert (solve(m, rhs) is not None) == (r_aug == r)
+
+
+# --- the echelon kernel against the Gauss-Jordan oracle ----------------------------
+
+def _span(rows: list[int]) -> set[int]:
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    return span
+
+
+@st.composite
+def tagged_systems(draw):
+    """(rows, cols): up to 10 rows over 1..80 columns with bits above ``cols``.
+
+    Rows may be zero or repeat an earlier row; bit ``cols`` serves as a
+    right-hand side, and each row also carries its own tag bit above all
+    others, so the rows that vanish below ``cols`` span the left kernel.
+    """
+    cols = draw(st.integers(1, 80))
+    width = cols + draw(st.integers(0, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        choices = [st.just(0), st.integers(0, (1 << width) - 1)]
+        if rows:
+            choices.append(st.sampled_from(rows))
+        rows.append(draw(st.one_of(*choices)))
+    return [row | 1 << (width + i) for i, row in enumerate(rows)], cols
+
+
+@given(tagged_systems())
+@settings(max_examples=300, deadline=None)
+def test_eliminate_matches_gauss_jordan(system):
+    rows, cols = system
+    low = (1 << cols) - 1
+    expected_rows = list(rows)
+    expected = gauss_jordan_eliminate(expected_rows, cols)
+    work = list(rows)
+    pivots = eliminate(work, cols)
+    r = len(pivots)
+    assert pivots == expected
+    assert r == span_rank([row & low for row in rows])
+    assert len(work) == len(rows) and _span(work) == _span(rows)
+    assert [(row & low & -(row & low)).bit_length() - 1 for row in work[:r]] == pivots
+    assert all(row & low == 0 for row in work[r:])
+    assert _span(work[r:]) == _span(expected_rows[r:])  # the same left kernel
+    witness = gauss_jordan_witness(rows, cols)
+    consistent = not any(row >> cols & 1 for row in work[r:])
+    assert consistent == (witness is not None)
+    if consistent:
+        x = back_substitute(work, pivots, cols)
+        assert x == witness
+        assert all((row & x).bit_count() & 1 == row >> cols & 1 for row in rows)
+
+
+@given(tagged_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_eliminate_pivots_ignore_row_order(system, rng):
+    rows, cols = system
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert eliminate(list(rows), cols) == eliminate(shuffled, cols)

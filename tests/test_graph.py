@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -18,13 +19,14 @@ from pcgraph import (
     validate,
 )
 from pcgraph import graph
-from pcgraph.graph import MAX_CENSUS_CAP
+from pcgraph.graph import MAX_CENSUS_CAP, PAIRWISE_MAX, mask_vertices, nested_pairs
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
 from _oracles import (
     greedy_uncolorable_subset,
     naive_census,
     naive_first_witness,
+    pairwise_nested_pairs,
     random_valid_pcg,
     truth_table_census,
 )
@@ -40,6 +42,19 @@ def test_edge_normalizes_and_validates():
         SignedEdge((1, 1), +1)
     with pytest.raises(ValueError):
         SignedEdge((1, 2), 0)
+
+
+def test_edge_mask_is_built_once_outside_equality_hash_and_repr():
+    e = SignedEdge((70, 3, 1), -1)
+    assert "mask" not in vars(e)  # nothing is built before a graph checks the vertices
+    assert e.mask == 1 << 69 | 0b101 and vars(e)["mask"] is e.mask
+    twin = SignedEdge((1, 3, 70), -1)
+    assert e == twin and hash(e) == hash(twin) and e != SignedEdge((1, 3, 70), 1)
+    assert repr(e) == repr(twin) == "SignedEdge(vertices=(1, 3, 70), theta=-1)"
+    assert e.to_json_dict() == {"vertices": [1, 3, 70], "theta": -1}
+    for edge in (e, twin):
+        copy = pickle.loads(pickle.dumps(edge))
+        assert copy == edge and copy.mask == edge.mask and repr(copy) == repr(edge)
 
 
 def test_pcg_rejects_out_of_range_vertices():
@@ -65,6 +80,46 @@ def test_validate_pins_nested_and_duplicate_messages():
         ("nested-edges", "edge #2 {1, 2} is contained in edge #1 {1, 2, 3}", (2, 1)),
         ("nested-edges", "edge #4 {4} is contained in edge #3 {3, 4}", (4, 3)),
     ]
+
+
+def _random_masks(rng: random.Random, uniform: bool) -> list[int]:
+    n, p = rng.randint(1, 9), rng.choice([0, 1, rng.randint(2, 12)])
+    size = rng.randint(1, n)
+    masks: list[int] = []
+    for _ in range(p):
+        if masks and rng.random() < 0.2:
+            masks.append(rng.choice(masks))
+        else:
+            verts = rng.sample(range(n), size if uniform else rng.randint(1, n))
+            masks.append(sum(1 << v for v in verts))
+    return masks
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["one-size", "mixed-sizes"])
+def test_nested_pairs_matches_pairwise_oracle(uniform):
+    rng = random.Random(41 + uniform)
+    lengths = Counter()
+    for _ in range(4000):
+        masks = _random_masks(rng, uniform)
+        lengths[len(masks) > PAIRWISE_MAX] += 1
+        assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks)), masks
+    assert lengths[True] > 300 and lengths[False] > 300  # both the bucketed and pairwise paths
+
+
+def test_nested_pairs_on_wide_one_size_lists():
+    masks = [0b11 << i for i in range(300)] + [0b11 << 7, 0b11 << 299, 0b11 << 7]
+    assert list(nested_pairs(masks)) == [(7, 300), (7, 302), (299, 301), (300, 302)]
+    assert list(nested_pairs(masks + [0b111 << 7])) == list(pairwise_nested_pairs(masks + [0b111 << 7]))
+
+
+def test_validate_lists_uncovered_vertices_and_components_past_64():
+    pcg = PCG.build(140, [((1, 70), 1), ((70, 71), 1), ((72, 130), -1), ((131, 140), 1)])
+    covered = {v for e in pcg.edges for v in e.vertices}
+    assert [v.message for v in validate(pcg).violations] == [
+        f"vertices {sorted(set(range(1, 141)) - covered)} belong to no edge",
+        "edge hypergraph splits into components [[1, 70, 71], [72, 130], [131, 140]]",
+    ]
+    assert mask_vertices(0) == [] and mask_vertices(1 << 200 | 0b1010) == [2, 4, 201]
 
 
 def test_validate_triangle_passes():

@@ -29,8 +29,8 @@ MAX_SITES = {2: 6, 3: 4, 4: 3, 5: 3}
 
 
 @st.composite
-def sparse_states(draw):
-    d = draw(st.sampled_from(sorted(MAX_SITES)))
+def sparse_states(draw, dims=tuple(sorted(MAX_SITES))):
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, MAX_SITES[d]))
     digit_strings = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(
         lambda digits: "".join(map(str, digits))
@@ -81,6 +81,47 @@ def test_project_z_matches_dense(case):
         assert expected < 1e-20
     else:
         assert np.allclose(dense_vector(post), kept / np.sqrt(expected), atol=1e-12)
+
+
+@st.composite
+def qubit_state_and_mask(draw):
+    state = draw(sparse_states(dims=(2,)))
+    mask = draw(st.integers(0, (1 << state.n) - 1))
+    return state, mask, draw(st.integers(0, (1 << state.n) - 1)) & mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(qubit_state_and_mask())
+def test_project_z_mask_form_matches_dense_and_map_form(case):
+    state, mask, want = case
+    assignment = {v: want >> (v - 1) & 1 for v in range(1, state.n + 1) if mask >> (v - 1) & 1}
+    vec = dense_vector(state)
+    kept = np.where(_dense_mask(state.n, 2, assignment), vec, 0)
+    expected = float(np.vdot(kept, kept).real)
+    prob, post = project_z(state, mask, want)
+    assert abs(prob - expected) < 1e-12
+    map_prob, map_post = project_z(state, assignment)
+    assert prob == map_prob
+    if post is None:
+        assert expected < 1e-20 and map_post is None
+    else:
+        assert np.allclose(dense_vector(post), kept / np.sqrt(expected), atol=1e-12)
+        assert post == map_post
+
+
+def test_project_z_mask_form_checks_its_range():
+    state = build_state(triangle_pcg())
+    prob, post = project_z(state, 0b110, want=0b110)  # sites 2 and 3 read 1: key "011"
+    assert prob == pytest.approx(0.25) and list(post.amplitudes) == [0b110]
+    with pytest.raises(ValueError, match="outside 1..3"):
+        project_z(state, 0b1000)
+    with pytest.raises(ValueError, match="outside 1..3"):
+        project_z(state, -1)
+    with pytest.raises(ValueError, match="outside the site mask"):
+        project_z(state, 0b011, want=0b100)
+    qutrit = SparseState.from_amplitudes(2, {"00": 1.0}, d=3)
+    with pytest.raises(ValueError, match="qubits only"):
+        project_z(qutrit, 0b01)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -10,9 +11,13 @@ from pcgraph import (
     pcg_digest,
     success_table,
     verify,
+    validate,
     verify_qudit_family,
 )
-from pcgraph.catalog import loop_pcg, magic_m9_pcg, triangle_pcg
+from pcgraph import catalog
+from pcgraph.catalog import loop_pcg, magic_m9_pcg, odd_red_loop_pcg, triangle_pcg
+
+from _oracles import per_site_hardy_records, random_b_terms, random_valid_pcg
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -92,6 +97,44 @@ def test_inequality_form_holds_for_paradox_verdicts():
         assert cert.verdict == "paradox"
         assert cert.success.simulated > 0  # quantum event has positive probability
         assert cert.census_satisfying == 0  # classical event intersection is empty
+
+
+def _assert_matches_per_site_loop(pcg, alpha=1.0, b_terms=()):
+    cert = verify(pcg, alpha, b_terms, lhv_cap=0)
+    probabilities, union, success = per_site_hardy_records(pcg, alpha, b_terms)
+    assert [c.edge for c in cert.hardy_checks] == [e.vertices for e in pcg.edges]
+    assert all(abs(c.probability - p) <= 1e-12 for c, p in zip(cert.hardy_checks, probabilities))
+    assert cert.success.sites == union
+    assert abs(cert.success.simulated - success) <= 1e-12
+
+
+def test_mask_conditioning_matches_per_site_loop_on_random_graphs():
+    rng = random.Random(61)
+    for _ in range(60):
+        pcg = random_valid_pcg(rng, max_n=8, max_edges=6)
+        b_terms = random_b_terms(rng, pcg)
+        alpha = cmath.exp(1j * rng.random()) * (0.6 if b_terms else 1.0)
+        _assert_matches_per_site_loop(pcg, alpha, b_terms)
+
+
+def test_mask_conditioning_matches_per_site_loop_on_b_term_catalog_entries():
+    entries = [catalog.get(i) for i in catalog.catalog_ids()]
+    entries += [catalog.get("minimal-psi", {"alpha": a}) for a in (0.2, 0.9j, cmath.exp(2j) / 2)]
+    with_b_terms = [e for e in entries if e.kind == "pcg" and e.b_terms and validate(e.pcg).ok]
+    assert len(with_b_terms) >= 4
+    for entry in with_b_terms:
+        _assert_matches_per_site_loop(entry.pcg, entry.alpha, entry.b_terms)
+
+
+@pytest.mark.parametrize("pcg", [loop_pcg(1000), odd_red_loop_pcg(999)], ids=["loop", "odd-red"])
+def test_wide_loops_certify_as_paradoxes(pcg):
+    cert = verify(pcg, lhv_cap=0)
+    assert cert.verdict == "paradox" and cert.census_skipped
+    assert len(cert.hardy_checks) == pcg.p
+    assert all(abs(c.probability - 1.0) <= 1e-9 for c in cert.hardy_checks)
+    assert abs(cert.success.simulated - 1 / (pcg.p + 1)) <= 1e-12
+    assert cert.success.sites == tuple(range(1, pcg.n + 1))
+    assert cert.rank_b == cert.rank_a + 1 == pcg.n
 
 
 # --- success table -----------------------------------------------------------
