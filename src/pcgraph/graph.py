@@ -53,7 +53,10 @@ class SignedEdge:
     def mask(self) -> int:
         """Bit v-1 set for each vertex v; built on first use, not at
         construction, so a graph can reject an out-of-range vertex first."""
-        return sum(1 << (v - 1) for v in self.vertices)
+        m = 0
+        for v in self.vertices:
+            m |= 1 << (v - 1)
+        return m
 
     @property
     def size(self) -> int:
@@ -185,7 +188,7 @@ def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     if len(masks) <= PAIRWISE_MAX:
         for i, mi in enumerate(masks):
             for j, mj in enumerate(masks):
-                if i != j and mi | mj == mj and (i < j or mi != mj):
+                if mi | mj == mj and (i < j or mi != mj):  # i == j fails both
                     yield i, j
         return
     by_size: dict[int, list[int]] = {}

@@ -221,6 +221,8 @@ def project_z(
     """
     if isinstance(assignment, int):
         matching = _matching_mask(state, assignment, want)
+    elif want:
+        raise ValueError("outcome bits go with a site mask; a site map carries its own digits")
     else:
         matching = _matching(state, assignment)
     prob = sum(abs(a) ** 2 for a in matching.values())

@@ -119,6 +119,8 @@ def test_project_z_mask_form_checks_its_range():
         project_z(state, -1)
     with pytest.raises(ValueError, match="outside the site mask"):
         project_z(state, 0b011, want=0b100)
+    with pytest.raises(ValueError, match="site map"):
+        project_z(state, {1: 0}, want=0b1)
     qutrit = SparseState.from_amplitudes(2, {"00": 1.0}, d=3)
     with pytest.raises(ValueError, match="qubits only"):
         project_z(qutrit, 0b01)
