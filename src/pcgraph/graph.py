@@ -15,8 +15,7 @@ vertex 1 in the least significant bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PcgValidationError, ResourceLimitError
@@ -30,12 +29,13 @@ MAX_CENSUS_CAP = 30
 CENSUS_BLOCK_BITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedEdge:
     """Edge vertex set (sorted, 1-based) with sign theta in {+1, -1}."""
 
     vertices: tuple[int, ...]
     theta: int
+    _mask: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(sorted(self.vertices))
@@ -49,14 +49,16 @@ class SignedEdge:
             raise ValueError(f"theta must be +1 or -1, got {self.theta}")
         object.__setattr__(self, "vertices", verts)
 
-    @cached_property
+    @property
     def mask(self) -> int:
-        """Bit v-1 set for each vertex v; built on first use, not at
-        construction, so a graph can reject an out-of-range vertex first."""
-        m = 0
-        for v in self.vertices:
-            m |= 1 << (v - 1)
-        return m
+        """Bit v-1 set for each vertex v; built once, on first use rather than
+        at construction, so a graph can reject an out-of-range vertex first."""
+        if self._mask is None:
+            m = 0
+            for v in self.vertices:
+                m |= 1 << (v - 1)
+            object.__setattr__(self, "_mask", m)
+        return self._mask
 
     @property
     def size(self) -> int:

@@ -45,9 +45,15 @@ def test_edge_normalizes_and_validates():
 
 
 def test_edge_mask_is_built_once_outside_equality_hash_and_repr():
+    tracemalloc.start()
+    far = SignedEdge((1, 10**7), 1)  # its mask would take 1.25 MB
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10**5  # nothing is built before a graph checks the vertices
+    with pytest.raises(ValueError, match="exceeds vertex count"):
+        PCG(3, (far,))
     e = SignedEdge((70, 3, 1), -1)
-    assert "mask" not in vars(e)  # nothing is built before a graph checks the vertices
-    assert e.mask == 1 << 69 | 0b101 and vars(e)["mask"] is e.mask
+    assert e.mask == 1 << 69 | 0b101 and e.mask is e.mask
     twin = SignedEdge((1, 3, 70), -1)
     assert e == twin and hash(e) == hash(twin) and e != SignedEdge((1, 3, 70), 1)
     assert repr(e) == repr(twin) == "SignedEdge(vertices=(1, 3, 70), theta=-1)"
