@@ -205,7 +205,10 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
         raise ValueError(f"site mask {mask:#x} has sites outside 1..{state.n}")
     if want & ~mask:
         raise ValueError(f"outcome bits {want & ~mask:#x} lie outside the site mask {mask:#x}")
-    return {k: a for k, a in state.amplitudes.items() if k & mask == want}
+    # A matching key has no bit outside ceiling, so it is at most ceiling:
+    # one comparison rejects most longer keys before the AND.
+    ceiling = ((1 << state.n) - 1) ^ mask | want
+    return {k: a for k, a in state.amplitudes.items() if k <= ceiling and k & mask == want}
 
 
 def project_z(

@@ -115,7 +115,8 @@ def test_nested_pairs_matches_pairwise_oracle(uniform):
 def test_nested_pairs_on_wide_one_size_lists():
     masks = [0b11 << i for i in range(300)] + [0b11 << 7, 0b11 << 299, 0b11 << 7]
     assert list(nested_pairs(masks)) == [(7, 300), (7, 302), (299, 301), (300, 302)]
-    assert list(nested_pairs(masks + [0b111 << 7])) == list(pairwise_nested_pairs(masks + [0b111 << 7]))
+    masks.append(0b111 << 7)
+    assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks))
 
 
 def test_validate_lists_uncovered_vertices_and_components_past_64():

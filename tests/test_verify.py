@@ -10,8 +10,8 @@ from pcgraph import (
     PcgValidationError,
     pcg_digest,
     success_table,
-    verify,
     validate,
+    verify,
     verify_qudit_family,
 )
 from pcgraph import catalog
