@@ -189,8 +189,8 @@ def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, co
         if not 0 <= digit < state.d:
             raise ValueError(f"digit {digit} out of range for d={state.d}")
     if state.d == 2:
-        mask, want = site_mask(assignment), site_mask(compress(assignment, assignment.values()))
-        return {k: a for k, a in state.amplitudes.items() if k & mask == want}
+        return _matching_mask(state, site_mask(assignment),
+                              site_mask(compress(assignment, assignment.values())))
     d = state.d
     places = [(d ** (site - 1), digit) for site, digit in assignment.items()]
     return {k: a for k, a in state.amplitudes.items()
