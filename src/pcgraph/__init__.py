@@ -15,7 +15,6 @@ from .errors import (
     ResourceLimitError,
     StateConditionError,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, rank, solve
 from .graph import (
     PCG,
     Coloring,
@@ -28,7 +27,6 @@ from .graph import (
     brute_force_colorings,
     edge,
     from_adjacency_map,
-    hardy_matrices,
     is_colorable,
     is_irreducible,
     validate,
@@ -58,7 +56,7 @@ from .verify import (
     verify,
     verify_qudit_family,
 )
-from .search import SearchCensus, canonical_form, classify, enumerate_pcgs
+from .search import SearchCensus, classify, enumerate_pcgs
 from .catalog import CatalogEntry, catalog_ids, get as catalog_get
 from .fileio import PcgFile, dump_pcg_file, from_json_dict, load_pcg_file, to_dot, to_json_dict
 
@@ -72,8 +70,6 @@ __all__ = [
     "ColorabilityResult",
     "ColoringCensus",
     "CrossCheckError",
-    "Gf2Matrix",
-    "Gf2Vector",
     "HardyCheck",
     "IrreducibilityResult",
     "PCG",
@@ -96,7 +92,6 @@ __all__ = [
     "brute_force_colorings",
     "build_qudit_family",
     "build_state",
-    "canonical_form",
     "catalog_get",
     "catalog_ids",
     "classify",
@@ -105,7 +100,6 @@ __all__ = [
     "enumerate_pcgs",
     "from_adjacency_map",
     "from_json_dict",
-    "hardy_matrices",
     "is_colorable",
     "is_irreducible",
     "joint_z_probability",
@@ -115,9 +109,7 @@ __all__ = [
     "pps_amplitude",
     "project_z",
     "qubit_product_state",
-    "rank",
     "sample_counts",
-    "solve",
     "success_table",
     "to_dot",
     "to_json_dict",

@@ -34,17 +34,26 @@ def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: st
         raise PcgFileError(f"{where}: missing field(s) {sorted(missing)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer.  ``bool`` subclasses ``int``, but ``true`` is never a count or a vertex."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _parse_complex(obj, where: str, allow_magnitude: bool = False) -> complex:
     if not isinstance(obj, dict):
         raise PcgFileError(f"{where}: expected an object with re/im fields")
     if allow_magnitude and set(obj) == {"magnitude"}:
         mag = obj["magnitude"]
-        if not isinstance(mag, (int, float)):
+        if not _is_number(mag):
             raise PcgFileError(f"{where}.magnitude: expected a number")
         return complex(mag)
     _require_keys(obj, {"re", "im"}, {"re", "im"}, where)
     re, im = obj["re"], obj["im"]
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    if not _is_number(re) or not _is_number(im):
         raise PcgFileError(f"{where}: re/im must be numbers")
     return complex(re, im)
 
@@ -54,10 +63,10 @@ def from_json_dict(data) -> PcgFile:
         raise PcgFileError("top level: expected a JSON object")
     _require_keys(data, {"n", "d", "edges", "alpha", "b_terms"}, {"n", "edges"}, "top level")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise PcgFileError("n: expected a positive integer")
     d = data.get("d", 2)
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise PcgFileError("d: expected an integer >= 2")
     if d != 2:
         raise PcgFileError(
@@ -73,9 +82,9 @@ def from_json_dict(data) -> PcgFile:
             raise PcgFileError(f"{where}: expected an object")
         _require_keys(item, {"vertices", "theta"}, {"vertices", "theta"}, where)
         verts = item["vertices"]
-        if not isinstance(verts, list) or not all(isinstance(v, int) for v in verts):
+        if not isinstance(verts, list) or not all(map(_is_int, verts)):
             raise PcgFileError(f"{where}.vertices: expected a list of integers")
-        if item["theta"] not in (1, -1):
+        if not _is_int(item["theta"]) or item["theta"] not in (1, -1):
             raise PcgFileError(f"{where}.theta: expected 1 or -1")
         try:
             edges.append(SignedEdge(tuple(verts), item["theta"]))
@@ -91,7 +100,7 @@ def from_json_dict(data) -> PcgFile:
             raise PcgFileError(f"{where}: expected an object")
         _require_keys(item, {"vertices", "lambda"}, {"vertices", "lambda"}, where)
         verts = item["vertices"]
-        if not isinstance(verts, list) or not all(isinstance(v, int) for v in verts):
+        if not isinstance(verts, list) or not all(map(_is_int, verts)):
             raise PcgFileError(f"{where}.vertices: expected a list of integers")
         b_terms.append(BTerm(tuple(verts), _parse_complex(item["lambda"], f"{where}.lambda")))
     try:
@@ -109,10 +118,7 @@ def to_json_dict(instance: PcgFile) -> dict:
     else:
         out["alpha"] = {"re": alpha.real, "im": alpha.imag}
     if instance.b_terms:
-        out["b_terms"] = [
-            {"vertices": list(t.vertices), "lambda": {"re": t.lam.real, "im": t.lam.imag}}
-            for t in instance.b_terms
-        ]
+        out["b_terms"] = [t.to_json_dict() for t in instance.b_terms]
     return out
 
 

@@ -1,4 +1,4 @@
-"""Projected-coloring graphs: structure rules, Hardy matrices, colorability.
+"""Projected-coloring graphs: structure rules, colorability, census, irreducibility.
 
 A projected-coloring graph (PCG) is a connected signed hypergraph on
 vertices 1..n whose edges form an antichain under inclusion.  Each edge
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PcgValidationError, ResourceLimitError
-from .gf2 import Gf2Matrix, Gf2Vector, back_substitute, eliminate
+from .gf2 import back_substitute, eliminate
 
 DEFAULT_CENSUS_CAP = 24
 # The blocked census keeps process RSS flat (34 MB at n = 24..30) while
@@ -277,13 +277,6 @@ def require_valid(pcg: PCG) -> None:
     report = validate(pcg)
     if not report.ok:
         raise PcgValidationError(report)
-
-
-def hardy_matrices(pcg: PCG) -> tuple[Gf2Matrix, Gf2Vector]:
-    """Incidence matrix A (p x n) and sign vector Theta of the parity system."""
-    a = Gf2Matrix.from_bitmasks((e.mask for e in pcg.edges), pcg.n)
-    theta = Gf2Vector.from_bits([e.theta_bit for e in pcg.edges])
-    return a, theta
 
 
 def _reduce_hardy_system(pcg: PCG) -> tuple[list[int], list[int]]:

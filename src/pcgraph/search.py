@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable
 
 from .errors import ResourceLimitError
-from .graph import PCG, SignedEdge, components, is_colorable, is_irreducible, nested_pairs
+from .graph import PCG, SignedEdge, components, is_irreducible, nested_pairs
 
 MAX_N = 6
 MAX_EDGES = 12
@@ -158,15 +158,18 @@ class SearchCensus:
 
 
 def classify(pcgs: Iterable[PCG]) -> SearchCensus:
-    """Count colorability classes; keep each irreducible instance."""
-    total = colorable = uncolorable = 0
+    """Count colorability classes; keep each irreducible instance.
+
+    One elimination per graph: :func:`is_irreducible` answers
+    "not_applicable" exactly when the graph is colorable.
+    """
+    total = colorable = 0
     irreducible: list[PCG] = []
     for pcg in pcgs:
         total += 1
-        if is_colorable(pcg).colorable:
+        status = is_irreducible(pcg).status
+        if status == "not_applicable":
             colorable += 1
-        else:
-            uncolorable += 1
-            if is_irreducible(pcg).status == "irreducible":
-                irreducible.append(pcg)
-    return SearchCensus(total, colorable, uncolorable, len(irreducible), tuple(irreducible))
+        elif status == "irreducible":
+            irreducible.append(pcg)
+    return SearchCensus(total, colorable, total - colorable, len(irreducible), tuple(irreducible))

@@ -126,21 +126,29 @@ class BTerm:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "lam", complex(self.lam))
 
+    def to_json_dict(self) -> dict:
+        """The term as it appears in instance files and certificates."""
+        return {"vertices": list(self.vertices),
+                "lambda": {"re": self.lam.real, "im": self.lam.imag}}
+
 
 def _check_b_terms(pcg: PCG, b_terms: Sequence[BTerm]) -> None:
     seen = set()
     for s, term in enumerate(b_terms):
         if not term.vertices:
             raise StateConditionError(f"b-term #{s} is empty")
+        if term.vertices[0] < 1:
+            raise StateConditionError(f"b-term #{s} {term.vertices} has a vertex below 1")
         if term.vertices[-1] > pcg.n:
             raise StateConditionError(f"b-term #{s} {term.vertices} exceeds site count")
         if term.vertices in seen:
             raise StateConditionError(f"b-term #{s} repeats the pattern {term.vertices}")
         seen.add(term.vertices)
+        mask = site_mask(term.vertices)
         for r, e in enumerate(pcg.edges):
             # T_s must meet the complement of every edge, otherwise the
             # term survives that edge's conditioning and breaks certainty.
-            if set(term.vertices) <= set(e.vertices):
+            if mask | e.mask == e.mask:
                 raise StateConditionError(
                     f"b-term #{s} {set(term.vertices)} lies inside edge #{r} "
                     f"{set(e.vertices)}"

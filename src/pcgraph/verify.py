@@ -42,6 +42,7 @@ from .states import (
     build_state,
     joint_z_probability,
     project_z,
+    site_mask,
     x_product_distribution,
 )
 
@@ -123,10 +124,7 @@ class ParadoxCertificate:
                 "n": self.n,
                 "edges": [e.to_json_dict() for e in self.edges],
                 "alpha": _complex_dict(self.alpha),
-                "b_terms": [
-                    {"vertices": list(t.vertices), "lambda": _complex_dict(t.lam)}
-                    for t in self.b_terms
-                ],
+                "b_terms": [t.to_json_dict() for t in self.b_terms],
             },
             "rank_a": self.rank_a,
             "rank_b": self.rank_b,
@@ -160,10 +158,7 @@ def _success_formula_applicable(pcg: PCG, b_terms: Sequence[BTerm]) -> bool:
         if e.mask | inter == inter:
             return False
     for t in b_terms:
-        mask = 0
-        for v in t.vertices:
-            mask |= 1 << (v - 1)
-        if mask | inter == inter:
+        if site_mask(t.vertices) | inter == inter:
             return False
     return True
 

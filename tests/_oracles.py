@@ -19,12 +19,12 @@ from pcgraph import (
     BTerm,
     SignedEdge,
     build_state,
-    canonical_form,
     joint_z_probability,
     project_z,
     validate,
     x_product_distribution,
 )
+from pcgraph.search import canonical_form
 
 
 def span_rank(rows: list[int]) -> int:

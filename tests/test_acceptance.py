@@ -15,7 +15,6 @@ from pcgraph import (
     PcgFile,
     brute_force_colorings,
     build_state,
-    canonical_form,
     catalog_get,
     classify,
     dump_pcg_file,
@@ -40,6 +39,7 @@ from pcgraph.catalog import (
     magic_m16_pcg,
     triangle_pcg,
 )
+from pcgraph.search import canonical_form
 
 from _oracles import random_valid_pcg
 

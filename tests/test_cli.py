@@ -206,7 +206,8 @@ def test_catalog_list_show_export(capsys, tmp_path):
 
 
 def test_catalog_export_round_trip_matches_canonical_form(capsys, tmp_path):
-    from pcgraph import canonical_form, load_pcg_file
+    from pcgraph import load_pcg_file
+    from pcgraph.search import canonical_form
     from pcgraph.catalog import triangle_pcg
 
     exported = tmp_path / "tri.json"
@@ -247,6 +248,29 @@ def test_unknown_field_is_parse_error(capsys, tmp_path):
     path.write_text(json.dumps({"n": 3, "edges": [], "bogus": 1}))
     code, _, err = run(capsys, "check", str(path))
     assert code == 1 and "unknown field" in err
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 2, 3], [-1, 2, 3]])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_b_term_vertex_below_one_exit_2(capsys, psi_file, vertices, command):
+    with open(psi_file) as f:
+        data = json.load(f)
+    data["b_terms"][0]["vertices"] = vertices
+    with open(psi_file, "w") as f:
+        json.dump(data, f)
+    code, out, err = run(capsys, command, psi_file, "--json")
+    assert code == 2 and out == ""
+    assert "b-term #0" in err and "below 1" in err and "Traceback" not in err
+
+
+def test_boolean_vertex_and_theta_exit_1(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "edges": [{"vertices": [True, 2], "theta": 1}, {"vertices": [2, 3], "theta": True}],
+    }))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == "" and "edges[0].vertices" in err
 
 
 def test_usage_error_exit_code(capsys):

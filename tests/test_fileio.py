@@ -6,7 +6,6 @@ from pcgraph import (
     BTerm,
     PcgFile,
     PcgFileError,
-    canonical_form,
     catalog_get,
     catalog_ids,
     dump_pcg_file,
@@ -16,6 +15,7 @@ from pcgraph import (
     to_json_dict,
 )
 from pcgraph.catalog import magic_m9_pcg, triangle_pcg
+from pcgraph.search import canonical_form
 
 
 def test_round_trip_identity_for_catalog_entries(tmp_path):
@@ -53,12 +53,43 @@ def test_unknown_fields_rejected():
 def test_schema_errors_name_the_field():
     with pytest.raises(PcgFileError, match="theta"):
         from_json_dict({"n": 3, "edges": [{"vertices": [1, 2], "theta": 2}]})
+    with pytest.raises(PcgFileError, match="theta"):
+        from_json_dict({"n": 3, "edges": [{"vertices": [1, 2], "theta": 1.0}]})
     with pytest.raises(PcgFileError, match="vertices"):
         from_json_dict({"n": 3, "edges": [{"vertices": "12", "theta": 1}]})
     with pytest.raises(PcgFileError, match="n:"):
         from_json_dict({"n": 0, "edges": []})
     with pytest.raises(PcgFileError, match="exceeds vertex count"):
         from_json_dict({"n": 2, "edges": [{"vertices": [1, 5], "theta": 1}]})
+
+
+BOOL_BASE = {"n": 3, "edges": [{"vertices": [1, 2], "theta": 1},
+                               {"vertices": [2, 3], "theta": 1}]}
+
+
+@pytest.mark.parametrize("slot, data", [
+    ("n:", {**BOOL_BASE, "n": True}),
+    ("d:", {**BOOL_BASE, "d": True}),
+    (r"edges\[0\]\.vertices", {**BOOL_BASE, "edges": [{"vertices": [True, 2], "theta": 1}]}),
+    (r"edges\[1\]\.theta", {**BOOL_BASE, "edges": [{"vertices": [1, 2], "theta": 1},
+                                                    {"vertices": [2, 3], "theta": True}]}),
+    (r"b_terms\[0\]\.vertices", {**BOOL_BASE, "alpha": {"magnitude": 0.5},
+                                  "b_terms": [{"vertices": [1, True, 3],
+                                               "lambda": {"re": 1.0, "im": 0.0}}]}),
+    (r"b_terms\[0\]\.lambda", {**BOOL_BASE, "alpha": {"magnitude": 0.5},
+                                "b_terms": [{"vertices": [1, 2, 3],
+                                             "lambda": {"re": True, "im": 0.0}}]}),
+    (r"b_terms\[0\]\.lambda", {**BOOL_BASE, "alpha": {"magnitude": 0.5},
+                                "b_terms": [{"vertices": [1, 2, 3],
+                                             "lambda": {"re": 1.0, "im": False}}]}),
+    ("alpha:", {**BOOL_BASE, "alpha": {"re": True, "im": 0.0}}),
+    ("alpha:", {**BOOL_BASE, "alpha": {"re": 1.0, "im": False}}),
+    (r"alpha\.magnitude", {**BOOL_BASE, "alpha": {"magnitude": True}}),
+])
+def test_booleans_rejected_where_numbers_are_expected(slot, data):
+    # JSON true is a Python int; read as 1 it would change the pcg digest
+    with pytest.raises(PcgFileError, match=slot):
+        from_json_dict(data)
 
 
 def test_qudit_dimension_rejected_in_files():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcgraph.gf2 import Gf2Matrix, Gf2Vector, back_substitute, eliminate, rank, solve
+from pcgraph.gf2 import back_substitute, eliminate, rank, solve
 
 from _oracles import (
     exhaustive_solve_exists,
@@ -12,120 +12,124 @@ from _oracles import (
     span_rank,
 )
 
-
-def mat(rows, cols=None):
-    return Gf2Matrix.from_rows(rows, cols)
+TRIANGLE = [0b110, 0b101, 0b011]  # the three rows XOR to zero
 
 
-def vec(entries):
-    return Gf2Vector.from_bits(entries)
+def identity(n):
+    return [1 << i for i in range(n)]
+
+
+def transpose(rows, cols):
+    return [sum((row >> c & 1) << r for r, row in enumerate(rows)) for c in range(cols)]
 
 
 def test_rank_identity():
-    assert rank(Gf2Matrix.identity(3)) == 3
+    assert rank(identity(3), 3) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(Gf2Matrix.zeros(3, 3)) == 0
+    assert rank([0, 0, 0], 3) == 0
 
 
 def test_rank_dependent_rows():
     # the three rows XOR to zero, so only two are independent
-    m = mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    assert span_rank(list(m.row_bits)) == 2
-    assert rank(m) == 2
+    assert span_rank(TRIANGLE) == 2
+    assert rank(TRIANGLE, 3) == 2
 
 
 def test_rank_input_not_modified():
-    m = mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    before = m.row_bits
-    rank(m)
-    assert m.row_bits == before
+    rows = list(TRIANGLE)
+    rank(rows, 3)
+    solve(rows, 0b011, 3)
+    assert rows == TRIANGLE
 
 
 def test_solve_identity_system():
-    solution = solve(Gf2Matrix.identity(3), vec([1, 0, 1]))
-    assert solution is not None
-    assert solution.to_list() == [1, 0, 1]
+    assert solve(identity(3), 0b101, 3) == 0b101
 
 
 def test_solve_inconsistent_triangle():
-    m = mat([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    rhs = vec([1, 1, 1])
-    assert not exhaustive_solve_exists(list(m.row_bits), rhs.to_list(), 3)
-    assert solve(m, rhs) is None
+    assert not exhaustive_solve_exists(TRIANGLE, [1, 1, 1], 3)
+    assert solve(TRIANGLE, 0b111, 3) is None
 
 
 def test_solve_free_variable_defaults_to_zero():
-    solution = solve(mat([[1, 1]]), vec([1]))
-    assert solution is not None
-    assert solution.to_list() == [1, 0]
+    assert solve([0b11], 1, 2) == 0b01
+
+
+def test_bits_at_or_above_cols_are_ignored():
+    wide = [row | 0b1000 for row in identity(3)]
+    assert rank(wide, 3) == 3
+    assert solve(wide, 0b101, 3) == 0b101
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(Gf2Matrix.identity(3), vec([1, 0]))
-
-
-def test_augment_and_mul():
-    m = mat([[1, 1, 0], [0, 1, 1]])
-    aug = m.augment_column(vec([1, 0]))
-    assert aug.cols == 4
-    assert aug.get(0, 3) == 1 and aug.get(1, 3) == 0
-    out = m.mul_vec(vec([1, 1, 1]))
-    assert out.to_list() == [0, 0]
+        solve(identity(3), 1 << 3, 3)
+    with pytest.raises(ValueError):
+        solve(identity(2), 0b100, 2)
+    with pytest.raises(ValueError):
+        solve([], 1, 2)
+    with pytest.raises(ValueError):
+        solve(identity(3), -1, 3)
 
 
 @st.composite
 def matrices(draw, max_rows=6, max_cols=8):
-    rows = draw(st.integers(1, max_rows))
+    """(rows, cols): 1..max_rows rows over 1..max_cols columns."""
+    n_rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
-    bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
-    return Gf2Matrix.from_bitmasks(bits, cols)
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=n_rows, max_size=n_rows))
+    return rows, cols
 
 
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(m.transpose())
+    rows, cols = m
+    assert rank(rows, cols) == rank(transpose(rows, cols), len(rows))
 
 
 @given(matrices(), st.integers(0, 2**32))
 @settings(max_examples=200, deadline=None)
 def test_rank_invariant_under_row_operations(m, seed):
+    rows, cols = m
     rng = random.Random(seed)
-    work = list(m.row_bits)
+    work = list(rows)
     for _ in range(10):
         i, j = rng.randrange(len(work)), rng.randrange(len(work))
         if rng.random() < 0.5:
             work[i], work[j] = work[j], work[i]
         elif i != j:
             work[i] ^= work[j]
-    shuffled = Gf2Matrix.from_bitmasks(work, m.cols)
-    assert rank(shuffled) == rank(m)
+    assert rank(work, cols) == rank(rows, cols)
 
 
 @given(matrices(max_cols=6), st.integers(0, 63))
 @settings(max_examples=200, deadline=None)
 def test_solve_matches_exhaustive_search(m, rhs_bits):
-    rhs = Gf2Vector(m.rows, rhs_bits & ((1 << m.rows) - 1))
-    solution = solve(m, rhs)
-    exists = exhaustive_solve_exists(list(m.row_bits), rhs.to_list(), m.cols)
+    rows, cols = m
+    rhs = rhs_bits & ((1 << len(rows)) - 1)
+    solution = solve(rows, rhs, cols)
+    exists = exhaustive_solve_exists(rows, [rhs >> r & 1 for r in range(len(rows))], cols)
     if solution is None:
         assert not exists
     else:
         assert exists
-        assert m.mul_vec(solution).bits == rhs.bits
+        assert all((row & solution).bit_count() & 1 == rhs >> r & 1 for r, row in enumerate(rows))
+        pivot_mask = sum(1 << c for c in eliminate(list(rows), cols))
+        assert solution & ~pivot_mask == 0  # free variables are 0
 
 
 @given(matrices(), st.integers(0, 63))
 @settings(max_examples=200, deadline=None)
 def test_augmented_rank_and_consistency(m, rhs_bits):
-    rhs = Gf2Vector(m.rows, rhs_bits & ((1 << m.rows) - 1))
-    r = rank(m)
-    r_aug = rank(m.augment_column(rhs))
+    rows, cols = m
+    rhs = rhs_bits & ((1 << len(rows)) - 1)
+    r = rank(rows, cols)
+    r_aug = rank([row | (rhs >> i & 1) << cols for i, row in enumerate(rows)], cols + 1)
     assert r_aug in (r, r + 1)
-    assert (solve(m, rhs) is not None) == (r_aug == r)
+    assert (solve(rows, rhs, cols) is not None) == (r_aug == r)
 
 
 # --- the echelon kernel against the Gauss-Jordan oracle ----------------------------

@@ -13,7 +13,6 @@ from pcgraph import (
     SignedEdge,
     brute_force_colorings,
     from_adjacency_map,
-    hardy_matrices,
     is_colorable,
     is_irreducible,
     validate,
@@ -152,26 +151,24 @@ def test_validate_edge_size_bounds():
     assert [v.kind for v in report.violations] == ["edge-size"]
 
 
-# --- hardy_matrices ----------------------------------------------------------
+# --- incidence rows: A as e.mask, Theta as e.theta_bit ------------------------
 
-def test_hardy_matrices_triangle():
-    a, theta = hardy_matrices(triangle_pcg())
-    assert (a.rows, a.cols) == (3, 3)
-    assert a.row_bits == (0b110, 0b101, 0b011)
-    assert theta.to_list() == [1, 1, 1]
-
-
-def test_hardy_matrices_single_red_pair():
-    a, theta = hardy_matrices(PCG.build(2, [((1, 2), +1)]))
-    assert a.row_bits == (0b11,)
-    assert theta.to_list() == [1]
+def test_incidence_rows_triangle():
+    pcg = triangle_pcg()
+    assert [e.mask for e in pcg.edges] == [0b110, 0b101, 0b011]
+    assert [e.theta_bit for e in pcg.edges] == [1, 1, 1]
 
 
-def test_hardy_matrices_loop5():
-    a, theta = hardy_matrices(loop_pcg(5))
-    masks = [0b10001, 0b00011, 0b00110, 0b01100, 0b11000]
-    assert list(a.row_bits) == masks
-    assert theta.to_list() == [1, 0, 0, 0, 0]
+def test_incidence_rows_single_red_pair():
+    pcg = PCG.build(2, [((1, 2), +1)])
+    assert [e.mask for e in pcg.edges] == [0b11]
+    assert [e.theta_bit for e in pcg.edges] == [1]
+
+
+def test_incidence_rows_loop5():
+    pcg = loop_pcg(5)
+    assert [e.mask for e in pcg.edges] == [0b10001, 0b00011, 0b00110, 0b01100, 0b11000]
+    assert [e.theta_bit for e in pcg.edges] == [1, 0, 0, 0, 0]
 
 
 # --- is_colorable ------------------------------------------------------------
@@ -418,10 +415,9 @@ def test_sign_flip_toggles_theta_only():
             SignedEdge(e.vertices, -e.theta if i == flip else e.theta)
             for i, e in enumerate(pcg.edges)
         ))
-        a0, t0 = hardy_matrices(pcg)
-        a1, t1 = hardy_matrices(flipped)
-        assert a0.row_bits == a1.row_bits
-        assert t0.bits ^ t1.bits == 1 << flip
+        assert [e.mask for e in pcg.edges] == [e.mask for e in flipped.edges]
+        toggled = [e0.theta_bit ^ e1.theta_bit for e0, e1 in zip(pcg.edges, flipped.edges)]
+        assert toggled == [int(i == flip) for i in range(pcg.p)]
         assert is_colorable(pcg).rank_a == is_colorable(flipped).rank_a
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,7 +8,6 @@ from pcgraph import (
     ResourceLimitError,
     SignedEdge,
     brute_force_colorings,
-    canonical_form,
     classify,
     enumerate_pcgs,
     is_colorable,
@@ -15,8 +15,9 @@ from pcgraph import (
     validate,
 )
 from pcgraph.catalog import triangle_pcg
+from pcgraph.search import canonical_form
 
-from _oracles import reference_enumeration
+from _oracles import random_valid_pcg, reference_enumeration
 
 
 def test_no_valid_two_vertex_instances():
@@ -67,6 +68,28 @@ def test_census_partitions_and_irreducibles_recheck():
     assert census.irreducible > 0
     for rep in census.representatives:
         assert is_irreducible(rep).status == "irreducible"
+
+
+def _two_call_census(pcgs):
+    """classify as it once was: is_colorable first, is_irreducible only if un-colorable."""
+    colorable, irreducible = 0, []
+    for pcg in pcgs:
+        if is_colorable(pcg).colorable:
+            colorable += 1
+        elif is_irreducible(pcg).status == "irreducible":
+            irreducible.append(pcg)
+    return len(pcgs), colorable, len(pcgs) - colorable, len(irreducible), tuple(irreducible)
+
+
+def test_classify_matches_two_call_census():
+    rng = random.Random(7)
+    sampled = [random_valid_pcg(rng, max_n=8, max_edges=7) for _ in range(300)]
+    for pcgs in (sampled, enumerate_pcgs(5, 4)):
+        census = classify(pcgs)
+        expected = _two_call_census(pcgs)
+        assert (census.total, census.colorable, census.uncolorable,
+                census.irreducible, census.representatives) == expected
+        assert 0 < census.irreducible < census.uncolorable < census.total
 
 
 def test_enumerated_instances_agree_with_brute_force():

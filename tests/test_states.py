@@ -79,6 +79,11 @@ def test_b_term_conditions_report_offender():
         build_state(triangle_pcg(), SQ2, [BTerm((1, 2), 1.0)])
     with pytest.raises(StateConditionError, match="empty"):
         build_state(triangle_pcg(), SQ2, [BTerm((), 1.0)])
+    for below in ((0, 1, 2, 3), (-1, 2, 3)):
+        with pytest.raises(StateConditionError, match="below 1"):
+            build_state(triangle_pcg(), SQ2, [BTerm(below, 1.0)])
+    with pytest.raises(StateConditionError, match="exceeds site count"):
+        build_state(triangle_pcg(), SQ2, [BTerm((1, 2, 4), 1.0)])
     with pytest.raises(StateConditionError, match="repeats"):
         build_state(triangle_pcg(), SQ2, [BTerm((1, 2, 3), SQ2), BTerm((1, 2, 3), SQ2)])
     with pytest.raises(StateConditionError, match="sum"):
