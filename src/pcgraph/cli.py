@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -268,9 +269,12 @@ def cmd_search(args) -> int:
     if args.sizes:
         try:
             lo, hi = args.sizes.split("..")
-            sizes = range(int(lo), int(hi) + 1)
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise PcgFileError(f"--sizes {args.sizes!r}: expected a..b") from None
+        # sizes outside 1..n-1 are ignored anyway; clamping keeps a huge
+        # range from being walked
+        sizes = range(max(lo, 1), min(hi, args.n - 1) + 1)
     stream = enumerate_pcgs(args.n, args.max_edges, sizes, workers=args.workers)
     census = classify(stream)
     payload = census.to_json_dict()
@@ -432,8 +436,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # Parsing never mutates the parser, so one per process serves every
+    # main() call; build_parser() itself still returns a fresh one.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,12 +22,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CrossCheckError, ResourceLimitError
 from .graph import (
+    CENSUS_BLOCK_BITS,
     DEFAULT_CENSUS_CAP,
     PCG,
     Coloring,
@@ -163,6 +163,13 @@ def _success_formula_applicable(pcg: PCG, b_terms: Sequence[BTerm]) -> bool:
     return True
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # NaN fails every comparison, and a tolerance of 1 or more would count
+    # probability 0 as certain.
+    if not 0 <= tolerance < 1:
+        raise ValueError(f"tolerance must satisfy 0 <= tolerance < 1, got {tolerance!r}")
+
+
 def verify(
     pcg: PCG,
     alpha: complex = 1.0,
@@ -172,11 +179,13 @@ def verify(
 ) -> ParadoxCertificate:
     """Produce the full certificate for one instance.
 
-    Raises :class:`PcgValidationError` for structurally invalid graphs
-    and :class:`CrossCheckError` if the rank criterion and the
-    exhaustive census ever disagree (which would indicate a bug, not a
-    property of the instance).
+    Raises :class:`PcgValidationError` for structurally invalid graphs,
+    :class:`ValueError` unless ``0 <= tolerance < 1``, and
+    :class:`CrossCheckError` if the rank criterion and the exhaustive
+    census ever disagree (which would indicate a bug, not a property of
+    the instance).
     """
+    _check_tolerance(tolerance)
     require_valid(pcg)
     b_terms = tuple(b_terms)
     decision = is_colorable(pcg)
@@ -325,25 +334,67 @@ class QuditCertificate:
         }
 
 
+def _digit_sum_tables(d: int, k: int, skip: int | None = None) -> list[int]:
+    """Bitsets over the d^k assignments of k base-d digits, one per digit sum mod d.
+
+    Bit b of table r is set iff the digits of b (digit 0 least
+    significant), leaving out digit ``skip``, sum to r mod d.  Each digit
+    widens the tables d-fold: a counted digit with value v places the
+    previous tables v widths up with their sums moved by v; the skipped
+    digit repeats them d times, one repunit multiplication per table.
+    """
+    tables = [1] + [0] * (d - 1)
+    width = 1
+    for m in range(k):
+        if m == skip:
+            repunit = ((1 << width * d) - 1) // ((1 << width) - 1)
+            tables = [t * repunit for t in tables]
+        else:
+            grown = []
+            for r in range(d):
+                t = 0
+                for v in range(d):
+                    t |= tables[(r - v) % d] << v * width
+                grown.append(t)
+            tables = grown
+        width *= d
+    return tables
+
+
 def _qudit_census(d: int, n: int) -> tuple[int, int]:
     """Count assignments of omega-powers satisfying all n leave-one-out sums.
 
     Constraint for conditioned site j: sum of the other n-1 powers must
     be 1 mod d, i.e. the full sum must equal the power at j plus one.
-    Enumeration is exhaustive over d^n assignments, held as a (d,)*n
-    grid whose axis k is the power at site k+1.  The full sum grows one
-    broadcast axis at a time and is reduced mod d after every add, so
-    int8 cannot overflow.
+    Enumeration is exhaustive over the d^n assignments, one bit each,
+    with site 1 the least significant base-d digit.  They are walked in
+    blocks of d^k, k the largest value up to n with d^k <= 2^CENSUS_BLOCK_BITS,
+    that share the high n - k digits h.  With s_h the sum of h's digits,
+    low site j's constraint over a block is the table of low parts whose
+    sum minus digit j is 1 - s_h, and high site j's is the table of low
+    parts whose sum is 1 - s_h + h_j (all mod d).  These (k + 1) d tables
+    come from digit sums alone, so the census never uses the closed-form
+    solution, and memory stays O(k d^(k+1)) bits for any n.
     """
-    powers = np.arange(d, dtype=np.int8)
-    full = powers
-    for _ in range(n - 1):
-        full = (full[..., None] + powers) % d
-    target = (powers + 1) % d
-    ok = np.ones(full.shape, dtype=bool)
-    for k in range(n):
-        ok &= full == target.reshape((1,) * k + (d,) + (1,) * (n - 1 - k))
-    return full.size, int(np.count_nonzero(ok))
+    k = 0
+    while k < n and d ** (k + 1) <= 1 << CENSUS_BLOCK_BITS:
+        k += 1
+    sums = _digit_sum_tables(d, k)
+    loo = [_digit_sum_tables(d, k, skip=j) for j in range(k)]
+    ones = (1 << d ** k) - 1
+    satisfying = 0
+    for high in product(range(d), repeat=n - k):
+        s = sum(high)
+        acc = ones
+        for table in chain(
+            (row[(1 - s) % d] for row in loo),
+            (sums[(1 - s + h) % d] for h in high),
+        ):
+            acc &= table
+            if not acc:
+                break
+        satisfying += acc.bit_count()
+    return d ** n, satisfying
 
 
 def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCertificate:
@@ -353,7 +404,9 @@ def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCert
     remaining shifts to omega with certainty, that the all-+1 joint
     probability equals 1/(1+(d-1)(d+1)), and that no classical
     assignment of omega-powers satisfies all the constraints at once.
+    Raises :class:`ValueError` unless ``0 <= tolerance < 1``.
     """
+    _check_tolerance(tolerance)
     state = build_qudit_family(d)
     n = state.n
     probs = []

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's production code
 paths: ranks come from subset-span enumeration or a Gauss-Jordan loop,
-censuses from plain nested loops, and state checks from dense numpy
-linear algebra.  The Hardy records are the one exception: they reuse
+censuses from plain nested loops or a dense numpy grid, and state
+checks from dense numpy linear algebra.  The Hardy records are the one exception: they reuse
 the state kernels, but condition through per-site assignment maps
 instead of the site masks that ``verify`` uses.
 """
@@ -130,6 +130,33 @@ def naive_first_witness(pcg: PCG) -> int | None:
         if all((bits & e.mask).bit_count() & 1 == e.theta_bit for e in pcg.edges):
             return bits
     return None
+
+
+def itertools_qudit_census(d: int, n: int) -> tuple[int, int]:
+    """Qudit-family census by checking every leave-one-out sum of every assignment."""
+    satisfying = sum(
+        all((sum(a) - a[j]) % d == 1 for j in range(n))
+        for a in product(range(d), repeat=n)
+    )
+    return d ** n, satisfying
+
+
+def grid_qudit_census(d: int, n: int) -> tuple[int, int]:
+    """Qudit-family census over a dense (d,)*n numpy grid of full sums.
+
+    Axis k is the power at site k+1.  The full sum grows one broadcast
+    axis at a time and is reduced mod d after every add, so int8 cannot
+    overflow; site k's constraint is full sum == power at k plus one.
+    """
+    powers = np.arange(d, dtype=np.int8)
+    full = powers
+    for _ in range(n - 1):
+        full = (full[..., None] + powers) % d
+    target = (powers + 1) % d
+    ok = np.ones(full.shape, dtype=bool)
+    for k in range(n):
+        ok &= full == target.reshape((1,) * k + (d,) + (1,) * (n - 1 - k))
+    return full.size, int(np.count_nonzero(ok))
 
 
 def truth_table_census(pcg: PCG) -> tuple[int, int, int | None]:

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +368,61 @@ def test_search_workers_below_one_exit_1(capsys):
     code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "0")
     assert code == 1 and out == ""
     assert "workers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "1", "inf"])
+def test_tolerance_outside_unit_interval_exit_1(capsys, psi_file, tolerance):
+    code, out, err = run(capsys, "verify", psi_file, "--tolerance", tolerance)
+    assert code == 1 and out == ""
+    assert "tolerance" in err and "Traceback" not in err
+
+
+def test_search_huge_size_range_is_clamped(capsys):
+    code, small, _ = run(capsys, "search", "--n", "3", "--max-edges", "2", "--sizes", "1..2")
+    assert code == 0
+    start = time.perf_counter()
+    code, huge, _ = run(capsys, "search", "--n", "3", "--max-edges", "2",
+                        "--sizes", f"1..{10 ** 15}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and huge == small
+    code, low, _ = run(capsys, "search", "--n", "3", "--max-edges", "2",
+                       f"--sizes=-{10 ** 15}..2")
+    assert code == 0 and low == small
+
+
+def test_shared_parser_gives_fresh_parser_output(capsys, psi_file, triangle_file):
+    from pcgraph import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    steps = [
+        ["verify", psi_file, "--json"],
+        ["verify"],  # usage error: the file is missing
+        ["check", triangle_file, "--json"],
+        ["--help"],
+        ["verify", psi_file, "--json"],
+    ]
+
+    def run_steps(fresh):
+        results = []
+        for argv in steps:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        return results
+
+    shared = run_steps(fresh=False)
+    assert cli._shared_parser() is cli._shared_parser()
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0]
+    assert shared[0] == shared[-1]
+    assert shared == run_steps(fresh=True)
+
+
+def test_import_does_not_load_numpy():
+    import pcgraph
+
+    src = str(Path(pcgraph.__file__).resolve().parents[1])
+    code = "import sys, pcgraph, pcgraph.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

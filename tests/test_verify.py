@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -16,8 +17,17 @@ from pcgraph import (
 )
 from pcgraph import catalog
 from pcgraph.catalog import loop_pcg, magic_m9_pcg, odd_red_loop_pcg, triangle_pcg
+from pcgraph.verify import _qudit_census
 
-from _oracles import per_site_hardy_records, random_b_terms, random_valid_pcg
+from _oracles import (
+    grid_qudit_census,
+    itertools_qudit_census,
+    per_site_hardy_records,
+    random_b_terms,
+    random_valid_pcg,
+)
+
+verify_mod = sys.modules["pcgraph.verify"]  # the package re-exports the function as `verify`
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -184,20 +194,61 @@ def test_qudit_d3_certificate():
 
 
 def test_qudit_census_matches_itertools_count():
-    from itertools import product as iter_product
-
-    from pcgraph.verify import _qudit_census
-
+    # every (d, n) with d^n <= 5000, including the n != d+1 shapes whose
+    # count is nonzero
     nonzero = 0
-    for d in range(2, 6):
+    for d in range(2, 12):
+        n = 1
+        while d ** n <= 5000:
+            assert _qudit_census(d, n) == itertools_qudit_census(d, n), (d, n)
+            nonzero += _qudit_census(d, n)[1] > 0
+            n += 1
+    assert nonzero >= 10
+    for d, n, satisfying in ((2, 2, 1), (3, 3, 1), (5, 3, 1), (4, 3, 0)):
+        assert _qudit_census(d, n) == (d ** n, satisfying)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_qudit_census_matches_grid_oracle(d):
+    assert _qudit_census(d, d + 1) == grid_qudit_census(d, d + 1)
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3])
+def test_qudit_census_blocks_match_naive_oracle(monkeypatch, block_bits):
+    # blocks of at most 2^block_bits assignments, so every shape spans
+    # many blocks, and the block is a single assignment when d > 2^block_bits
+    monkeypatch.setattr(verify_mod, "CENSUS_BLOCK_BITS", block_bits)
+    for d in range(2, 8):
         for n in range(1, 6):
-            satisfying = sum(
-                all((sum(a) - a[j]) % d == 1 for j in range(n))
-                for a in iter_product(range(d), repeat=n)
-            )
-            assert _qudit_census(d, n) == (d ** n, satisfying), (d, n)
-            nonzero += satisfying > 0
-    assert nonzero >= 10  # e.g. d=2, n=2: (1, 1)
+            if d ** n <= 5000:
+                assert _qudit_census(d, n) == itertools_qudit_census(d, n), (d, n)
+    for d in range(2, 6):
+        assert _qudit_census(d, d + 1) == grid_qudit_census(d, d + 1), d
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_qudit_certificate_equals_grid_census_certificate(monkeypatch, d):
+    cert = verify_qudit_family(d).to_json_dict()
+    monkeypatch.setattr(verify_mod, "_qudit_census", grid_qudit_census)
+    assert cert == verify_qudit_family(d).to_json_dict()
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 1.0, math.inf])
+def test_tolerance_outside_unit_interval_is_refused(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        verify(triangle_pcg(), SQ2, [BTerm((1, 2, 3), 1.0)], tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_qudit_family(3, tolerance=tolerance)
+
+
+def test_tolerance_at_the_ends_of_the_unit_interval_is_accepted():
+    # 0 demands probabilities of exactly 1, which rounding may miss, so
+    # only the absence of an error is pinned there
+    for tolerance in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+        cert = verify(triangle_pcg(), SQ2, [BTerm((1, 2, 3), 1.0)], tolerance=tolerance)
+        qudit = verify_qudit_family(2, tolerance=tolerance)
+        if tolerance:
+            assert cert.verdict == qudit.verdict == "paradox"
 
 
 def test_qudit_d2_matches_minimal_instance():
