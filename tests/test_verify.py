@@ -200,8 +200,9 @@ def test_qudit_census_matches_itertools_count():
     for d in range(2, 12):
         n = 1
         while d ** n <= 5000:
-            assert _qudit_census(d, n) == itertools_qudit_census(d, n), (d, n)
-            nonzero += _qudit_census(d, n)[1] > 0
+            census = _qudit_census(d, n)
+            assert census == itertools_qudit_census(d, n), (d, n)
+            nonzero += census[1] > 0
             n += 1
     assert nonzero >= 10
     for d, n, satisfying in ((2, 2, 1), (3, 3, 1), (5, 3, 1), (4, 3, 0)):
