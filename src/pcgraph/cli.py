@@ -371,9 +371,6 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--tolerance", type=float, default=1e-9, help="probability comparison tolerance"
-    )
 
     p = sub.add_parser("validate", parents=[common], help="check the structural rules")
     p.add_argument("file")
@@ -395,6 +392,9 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--lhv-cap", type=int, default=24, dest="lhv_cap",
                    help=f"largest n for the exhaustive classical census (at most {MAX_CENSUS_CAP})")
+    p.add_argument(
+        "--tolerance", type=float, default=1e-9, help="probability comparison tolerance"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", parents=[common], help="success probability table")

@@ -174,8 +174,7 @@ class IrreducibilityResult:
     witness: tuple[SignedEdge, ...] | None = None
 
 
-# Up to this many masks, testing every pair is faster than bucketing them:
-# the search tests lists of 2-6 masks about a million times at n = 6.
+# Up to this many masks, testing every pair is faster than bucketing them.
 PAIRWISE_MAX = 8
 
 

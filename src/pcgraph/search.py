@@ -5,11 +5,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import permutations
 from typing import Iterable
 
 from .errors import ResourceLimitError
-from .graph import PCG, SignedEdge, components, is_irreducible, nested_pairs
+from .graph import PCG, SignedEdge, components, is_irreducible
 
 MAX_N = 6
 MAX_EDGES = 12
@@ -64,42 +64,107 @@ def _relabel_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+@cache
+def _tables_onto(n: int, target: int) -> dict[int, list[tuple[int, ...]]]:
+    """The relabel tables of ``n``, grouped by the mask that each sends onto ``target``."""
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for table in _relabel_tables(n):
+        groups.setdefault(table.index(target), []).append(table)
+    return groups
+
+
+def _sorts_lower(n: int, masks: tuple[int, ...]) -> bool:
+    """Does some relabeling sort the ascending ``masks`` below themselves?
+
+    ``masks[0]`` must be ``(1 << s) - 1`` and no mask may have fewer than
+    s vertices.  Then no image lies below ``masks[0]``, so only a table
+    that sends one of ``masks`` onto it can sort them lower, and only
+    those tables are tried.
+    """
+    groups = _tables_onto(n, masks[0])
+    return any(
+        tuple(sorted(map(table.__getitem__, masks))) < masks
+        for m in masks for table in groups.get(m, ())
+    )
+
+
 def _signed_forms(n: int, masks: tuple[int, ...]) -> set[CanonicalForm]:
     """Canonical forms of every signing of the ascending structure ``masks``.
 
-    Empty unless ``masks`` is its own unsigned canonical form, so each
-    structure is signed in exactly one labeling.  Signing any other
-    labeling would only relabel the same graphs.  The signed form is the
-    minimum over every relabeling, not just the unsigned minimum: pairs
-    compare edge 1's theta before edge 2's mask.
+    ``masks`` must be its own unsigned canonical form, so each structure
+    is signed in exactly one labeling.  The signed form is the minimum
+    over every relabeling, not just the unsigned minimum: pairs compare
+    edge 1's theta before edge 2's mask.  Only relabelings that keep
+    ``masks[0]`` first compete; a larger first mask loses whatever the
+    signs.  A signed tuple is one int of n + 1 bits per edge,
+    ``mask << 1 | (theta == +1)``, first edge most significant, so int
+    order is tuple order.
     """
-    tables = _relabel_tables(n)
-    for table in tables:  # most structures are relabeled copies: reject them cheaply
-        if tuple(sorted(map(table.__getitem__, masks))) < masks:
-            return set()
-    relabelings = set()
-    for table in tables:
-        image, order = zip(*sorted((table[m], i) for i, m in enumerate(masks)))
-        if image[0] == masks[0]:  # a larger first mask loses whatever the signs
-            relabelings.add((image, order))
+    width = n + 1
+    shifts = range((len(masks) - 1) * width, -1, -width)
+    groups = _tables_onto(n, masks[0])
+    placements = {  # (image mask, edge index) pairs in the relabeled order
+        tuple(sorted((table[m], i) for i, m in enumerate(masks)))
+        for m in masks for table in groups.get(m, ())
+    }
+    signings = []
+    for placement in placements:
+        key, flips = 0, [0] * len(masks)
+        for shift, (image, i) in zip(shifts, placement):
+            key |= (image << 1 | 1) << shift
+            flips[i] = 1 << shift
+        keys = [key]  # keys[s]: edge i signed -1 for each bit i of s, +1 otherwise
+        for flip in flips:
+            keys += [k ^ flip for k in keys]
+        signings.append(keys)
+    full = (1 << n) - 1
     return {
-        (n, min(tuple(zip(image, map(signs.__getitem__, order))) for image, order in relabelings))
-        for signs in product((+1, -1), repeat=len(masks))
+        (n, tuple((key >> (shift + 1) & full, +1 if key >> shift & 1 else -1) for shift in shifts))
+        for key in set(map(min, zip(*signings)))
     }
 
 
 def _enumerate_partition(args: tuple[int, tuple[int, ...], int, int]) -> set[CanonicalForm]:
-    """All canonical forms whose structure starts at one universe index."""
+    """All canonical forms whose structure starts at one universe index.
+
+    An orderly walk (Read 1978) over ascending antichains: a child adds a
+    later mask that lies neither inside nor over any mask it holds, and a
+    prefix that some relabeling sorts lower is dropped with its subtree.
+    The k smallest images of any extension are elementwise at most the
+    sorted images of the prefix, so the extension sorts lower as well.
+    """
     n, universe, first_idx, max_edges = args
     found: set[CanonicalForm] = set()
     first = universe[first_idx]
-    rest = universe[first_idx + 1:]
-    connected = [(1 << n) - 1]
-    for extra in range(max_edges):
-        for tail in combinations(rest, extra):
-            masks = (first,) + tail
-            if next(nested_pairs(masks), None) is None and components(masks) == connected:
-                found |= _signed_forms(n, masks)
+    size = first.bit_count()
+    if first != (1 << size) - 1 or max_edges < 1:  # relabeling moves first onto (1 << size) - 1
+        return found
+    full = (1 << n) - 1
+    # apart[j]: the later masks that lie neither inside nor over mask j.  None
+    # has fewer vertices than first: relabeling would move it below first.
+    apart = []
+    for j, mj in enumerate(universe):
+        bits = 0
+        for k in range(j + 1, len(universe)):
+            mk = universe[k]
+            if mk.bit_count() >= size and mj & mk not in (mj, mk):
+                bits |= 1 << k
+        apart.append(bits)
+
+    def walk(masks: tuple[int, ...], cover: int, candidates: int) -> None:
+        if _sorts_lower(n, masks):
+            return
+        if cover == full and components(masks) == [full]:
+            found.update(_signed_forms(n, masks))
+        if len(masks) == max_edges:
+            return
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            walk(masks + (universe[j],), cover | universe[j], candidates & apart[j])
+
+    walk((first,), first, apart[first_idx])
     return found
 
 

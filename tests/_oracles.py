@@ -5,11 +5,14 @@ paths: ranks come from subset-span enumeration or a Gauss-Jordan loop,
 censuses from plain nested loops or a dense numpy grid, and state
 checks from dense numpy linear algebra.  The Hardy records are the one exception: they reuse
 the state kernels, but condition through per-site assignment maps
-instead of the site masks that ``verify`` uses.
+instead of the site masks that ``verify`` uses.  The retired
+combinations walk rebuilds its own relabel tables and its own antichain
+and connectivity tests.
 """
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -229,6 +232,65 @@ def reference_enumeration(n: int, max_edges: int, sizes=None) -> list:
                 forms.add(canonical_form(PCG(n, tuple(
                     SignedEdge(tuple(e), s) for e, s in zip(combo, signs)
                 ))))
+    return sorted(forms)
+
+
+@cache
+def permutation_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each relabeling of bits 0..n-1, the image of every mask, bit by bit."""
+    return tuple(
+        tuple(sum(1 << perm[v] for v in range(n) if m >> v & 1) for m in range(1 << n))
+        for perm in permutations(range(n))
+    )
+
+
+def is_unsigned_canonical(n: int, masks: tuple[int, ...]) -> bool:
+    """Is the ascending ``masks`` its own least sorted image over every relabeling?"""
+    return all(tuple(sorted(map(t.__getitem__, masks))) >= masks for t in permutation_tables(n))
+
+
+def tuple_min_signed_forms(n: int, masks: tuple[int, ...]) -> set:
+    """Canonical forms of every signing of the canonical structure ``masks``, by tuple minima.
+
+    Each sign vector's form is the least tuple of (mask, theta) pairs
+    over every relabeling that keeps ``masks[0]`` first.
+    """
+    relabelings = set()
+    for table in permutation_tables(n):
+        image, order = zip(*sorted((table[m], i) for i, m in enumerate(masks)))
+        if image[0] == masks[0]:
+            relabelings.add((image, order))
+    return {
+        (n, min(tuple(zip(image, map(signs.__getitem__, order))) for image, order in relabelings))
+        for signs in product((+1, -1), repeat=len(masks))
+    }
+
+
+def combinations_enumeration(n: int, max_edges: int, sizes=None) -> list:
+    """Sorted canonical forms from the walk the search ran before its orderly one.
+
+    Every ascending subset of the allowed masks, antichain or not, is
+    tested pairwise for nesting and for one component covering every
+    vertex; each survivor that is its own unsigned canonical form is
+    signed by :func:`tuple_min_signed_forms`.
+    """
+    allowed = set(range(1, n)) if sizes is None else {s for s in sizes if 1 <= s < n}
+    universe = [m for m in range(1, 1 << n) if m.bit_count() in allowed]
+    full = (1 << n) - 1
+    forms = set()
+    for p in range(1, max_edges + 1):
+        for masks in combinations(universe, p):
+            if next(pairwise_nested_pairs(masks), None) is not None:
+                continue
+            reached, grew = masks[0], True
+            while grew:
+                grew = False
+                for m in masks:
+                    if m & reached and m & ~reached:
+                        reached |= m
+                        grew = True
+            if reached == full and is_unsigned_canonical(n, masks):
+                forms |= tuple_min_signed_forms(n, masks)
     return sorted(forms)
 
 

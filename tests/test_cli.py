@@ -377,6 +377,18 @@ def test_tolerance_outside_unit_interval_exit_1(capsys, psi_file, tolerance):
     assert "tolerance" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{psi}", "--tolerance", "nan"],
+    ["simulate", "{psi}", "--tolerance", "-5", "--observable", "X:1,2"],
+    ["validate", "{psi}", "--tolerance", "0.5"],
+    ["table", "--max-n", "4", "--tolerance", "0.5"],
+])
+def test_tolerance_only_on_verify(capsys, psi_file, argv):
+    code, out, err = run(capsys, *(a.format(psi=psi_file) for a in argv))
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --tolerance" in err and "Traceback" not in err
+
+
 def test_search_huge_size_range_is_clamped(capsys):
     code, small, _ = run(capsys, "search", "--n", "3", "--max-edges", "2", "--sizes", "1..2")
     assert code == 0

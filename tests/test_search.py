@@ -1,7 +1,10 @@
+import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgraph import (
     PCG,
@@ -15,9 +18,15 @@ from pcgraph import (
     validate,
 )
 from pcgraph.catalog import triangle_pcg
-from pcgraph.search import canonical_form
+from pcgraph.search import _signed_forms, _sorts_lower, canonical_form
 
-from _oracles import random_valid_pcg, reference_enumeration
+from _oracles import (
+    combinations_enumeration,
+    is_unsigned_canonical,
+    random_valid_pcg,
+    reference_enumeration,
+    tuple_min_signed_forms,
+)
 
 
 def test_no_valid_two_vertex_instances():
@@ -110,8 +119,6 @@ def test_parallel_matches_serial():
 
 def _labeled_count(n, max_edges):
     # independent oracle: filter every signed edge list directly
-    from itertools import combinations
-
     universe = [
         tuple(sorted(c))
         for size in range(1, n)
@@ -165,6 +172,94 @@ def test_enumeration_matches_reference_walk(n, max_edges, sizes):
     assert [canonical_form(p) for p in stream] == reference_enumeration(n, max_edges, sizes)
     for p in stream:
         assert canonical_form(p) == (p.n, tuple((e.mask, e.theta) for e in p.edges))
+
+
+def _form(pcg):
+    return (pcg.n, tuple((e.mask, e.theta) for e in pcg.edges))
+
+
+@pytest.mark.parametrize("n,max_edges,sizes", [(5, 4, None), (5, 5, (2, 3)), (6, 3, None)])
+def test_orderly_walk_matches_combinations_walk(n, max_edges, sizes):
+    stream = enumerate_pcgs(n, max_edges, sizes)
+    assert [_form(p) for p in stream] == combinations_enumeration(n, max_edges, sizes)
+
+
+def test_integer_signing_matches_tuple_min_signing(monkeypatch):
+    import pcgraph.search
+
+    signed = []
+
+    def recording(n, masks):
+        signed.append(masks)
+        return _signed_forms(n, masks)
+
+    monkeypatch.setattr(pcgraph.search, "_signed_forms", recording)
+    assert len(enumerate_pcgs(5, 4)) == 489
+    assert len(signed) == len(set(signed)) > 0
+    for masks in signed:
+        assert is_unsigned_canonical(5, masks)
+        assert _signed_forms(5, masks) == tuple_min_signed_forms(5, masks)
+
+
+def _greedy_antichain(masks):
+    kept = []
+    for m in masks:
+        if all(m & k not in (m, k) for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_non_canonical_prefix_has_no_canonical_extension(data):
+    # the orderly walk drops a prefix that some relabeling sorts lower,
+    # with every extension of it
+    n = data.draw(st.integers(2, 5))
+    size = data.draw(st.integers(1, n - 1))
+    picks = data.draw(st.lists(st.integers(1, (1 << n) - 2), max_size=8))
+    # the tuples the walk reaches: first mask (1 << size) - 1, none smaller than size
+    anchored = _greedy_antichain([(1 << size) - 1] + [m for m in picks if m.bit_count() >= size])
+    for masks in (_greedy_antichain(picks), anchored):
+        canonical = [is_unsigned_canonical(n, masks[:k]) for k in range(1, len(masks) + 1)]
+        assert canonical == sorted(canonical, reverse=True), masks
+
+
+def test_sorts_lower_matches_oracle_on_reachable_tuples():
+    # every ascending antichain of up to 4 masks at n <= 5 that starts at
+    # (1 << size) - 1 and holds no smaller mask, as the walk builds them
+    checked = 0
+    for n in range(2, 6):
+        for size in range(1, n):
+            first = (1 << size) - 1
+            later = [m for m in range(first + 1, (1 << n) - 1) if m.bit_count() >= size]
+            for k in range(4):
+                for tail in combinations(later, k):
+                    masks = (first,) + tail
+                    if _greedy_antichain(masks) != masks:
+                        continue
+                    assert _sorts_lower(n, masks) == (not is_unsigned_canonical(n, masks)), masks
+                    checked += 1
+    assert checked == 862
+
+
+def _forms_digest(pcgs):
+    blob = json.dumps([[p.n, [[list(e.vertices), e.theta] for e in p.edges]] for p in pcgs])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,max_edges,expected", [
+    (5, 5, (1291, 978, 313, 28,
+            "92b5629fce186006b812edb497d67acbab20b35a1ba3fdd1b26debc750a8940b")),
+    (6, 4, (2935, 2738, 197, 45,
+            "8d8f05e8a6664b9d3727cfe069dbb00029417163e471205e2b59129159c3abdd")),
+])
+def test_larger_census_pinned(n, max_edges, expected):
+    # total, colorable, un-colorable, irreducible and the digest of the
+    # emitted graphs, as the combinations walk gave them
+    stream = enumerate_pcgs(n, max_edges)
+    census = classify(stream)
+    assert (census.total, census.colorable, census.uncolorable, census.irreducible,
+            _forms_digest(stream)) == expected
 
 
 def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
