@@ -21,7 +21,7 @@ from .errors import (
     StateConditionError,
 )
 from .fileio import PcgFile, dump_pcg_file, load_pcg_file, to_dot, to_json_dict
-from .graph import MAX_CENSUS_CAP, validate
+from .graph import DEFAULT_CENSUS_CAP, MAX_CENSUS_CAP, validate
 from .search import classify, enumerate_pcgs
 from .states import (
     MAX_SHOTS,
@@ -31,7 +31,7 @@ from .states import (
     sample_counts,
     x_product_distribution,
 )
-from .verify import MAX_TABLE_N, success_table, verify
+from .verify import MAX_TABLE_N, PROBABILITY_TOL, SIMULATE_UP_TO, success_table, verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,12 +112,8 @@ def _parse_observable(spec: str) -> tuple[str, list[int], str | None]:
     return letter, sites, outcome
 
 
-def _load(path: str) -> PcgFile:
-    return load_pcg_file(path)
-
-
 def cmd_validate(args) -> int:
-    instance = _load(args.file)
+    instance = load_pcg_file(args.file)
     report = validate(instance.pcg)
     payload = {
         "ok": report.ok,
@@ -139,7 +135,7 @@ def cmd_check(args) -> int:
     # `validate` and `verify` enforce the structural rules
     from .graph import is_colorable
 
-    instance = _load(args.file)
+    instance = load_pcg_file(args.file)
     result = is_colorable(instance.pcg)
     payload = {
         "colorable": result.colorable,
@@ -164,7 +160,7 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     if args.shots is not None and args.shots > MAX_SHOTS:
         raise ResourceLimitError(f"--shots {args.shots} exceeds the ceiling of {MAX_SHOTS}")
-    instance = _load(args.file)
+    instance = load_pcg_file(args.file)
     state = build_state(instance.pcg, instance.alpha, instance.b_terms)
     payload: dict = {}
     lines: list[str] = []
@@ -214,7 +210,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load(args.file)
+    instance = load_pcg_file(args.file)
     cert = verify(
         instance.pcg,
         instance.alpha,
@@ -275,7 +271,7 @@ def cmd_search(args) -> int:
         # sizes outside 1..n-1 are ignored anyway; clamping keeps a huge
         # range from being walked
         sizes = range(max(lo, 1), min(hi, args.n - 1) + 1)
-    stream = enumerate_pcgs(args.n, args.max_edges, sizes, workers=args.workers)
+    stream = enumerate_pcgs(args.n, args.max_edges, sizes)
     census = classify(stream)
     payload = census.to_json_dict()
     if not args.irreducible_only:
@@ -353,7 +349,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_export(args) -> int:
-    instance = _load(args.file)
+    instance = load_pcg_file(args.file)
     if not args.dot:
         raise PcgFileError("export currently supports --dot only")
     text = to_dot(instance.pcg)
@@ -390,10 +386,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="full paradox certificate")
     p.add_argument("file")
-    p.add_argument("--lhv-cap", type=int, default=24, dest="lhv_cap",
+    p.add_argument("--lhv-cap", type=int, default=DEFAULT_CENSUS_CAP, dest="lhv_cap",
                    help=f"largest n for the exhaustive classical census (at most {MAX_CENSUS_CAP})")
     p.add_argument(
-        "--tolerance", type=float, default=1e-9, help="probability comparison tolerance"
+        "--tolerance", type=float, default=PROBABILITY_TOL,
+        help="probability comparison tolerance"
     )
     p.set_defaults(func=cmd_verify)
 
@@ -401,7 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n",
                    help=f"last row of the table (at most {MAX_TABLE_N})")
     p.add_argument("--simulate", action="store_true",
-                   help="show the simulated loop column (n <= 12)")
+                   help=f"show the simulated loop column (n <= {SIMULATE_UP_TO})")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("search", help="enumerate and classify small graphs (JSON output)")
@@ -409,8 +406,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-edges", type=int, required=True, dest="max_edges")
     p.add_argument("--sizes", help="edge size range a..b")
     p.add_argument("--irreducible-only", action="store_true", dest="irreducible_only")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (at least 1; clamped to the CPU count)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("catalog", help="built-in instances")
@@ -454,10 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PcgFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PcgValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 2
-    except StateConditionError as exc:
+    except (PcgValidationError, StateConditionError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except CrossCheckError as exc:

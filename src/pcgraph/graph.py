@@ -174,10 +174,6 @@ class IrreducibilityResult:
     witness: tuple[SignedEdge, ...] | None = None
 
 
-# Up to this many masks, testing every pair is faster than bucketing them.
-PAIRWISE_MAX = 8
-
-
 def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(i, j) for each edge mask i contained in edge mask j, in order of i then j.
 
@@ -186,12 +182,6 @@ def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     and in a mask of its own size only if the two are equal, which a
     lookup finds.  So masks of one size cost O(p), not O(p^2).
     """
-    if len(masks) <= PAIRWISE_MAX:
-        for i, mi in enumerate(masks):
-            for j, mj in enumerate(masks):
-                if mi | mj == mj and (i < j or mi != mj):  # i == j fails both
-                    yield i, j
-        return
     by_size: dict[int, list[int]] = {}
     by_mask: dict[int, list[int]] = {}
     for j, m in enumerate(masks):

@@ -1,8 +1,6 @@
 """Exhaustive enumeration of small graphs up to vertex relabeling."""
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -41,14 +39,6 @@ def canonical_form(pcg: PCG) -> CanonicalForm:
         if best is None or candidate < best:
             best = candidate
     return (n, best or ())
-
-
-def pcg_from_canonical(form: CanonicalForm) -> PCG:
-    n, edges = form
-    return PCG(n, tuple(
-        SignedEdge(tuple(v + 1 for v in range(n) if (mask >> v) & 1), theta)
-        for mask, theta in edges
-    ))
 
 
 @cache
@@ -124,8 +114,10 @@ def _signed_forms(n: int, masks: tuple[int, ...]) -> set[CanonicalForm]:
     }
 
 
-def _enumerate_partition(args: tuple[int, tuple[int, ...], int, int]) -> set[CanonicalForm]:
-    """All canonical forms whose structure starts at one universe index.
+def _forms_led_by(
+    n: int, universe: tuple[int, ...], size: int, max_edges: int
+) -> set[CanonicalForm]:
+    """All canonical forms whose first edge is ``(1 << size) - 1``.
 
     An orderly walk (Read 1978) over ascending antichains: a child adds a
     later mask that lies neither inside nor over any mask it holds, and a
@@ -133,12 +125,8 @@ def _enumerate_partition(args: tuple[int, tuple[int, ...], int, int]) -> set[Can
     The k smallest images of any extension are elementwise at most the
     sorted images of the prefix, so the extension sorts lower as well.
     """
-    n, universe, first_idx, max_edges = args
     found: set[CanonicalForm] = set()
-    first = universe[first_idx]
-    size = first.bit_count()
-    if first != (1 << size) - 1 or max_edges < 1:  # relabeling moves first onto (1 << size) - 1
-        return found
+    first = (1 << size) - 1
     full = (1 << n) - 1
     # apart[j]: the later masks that lie neither inside nor over mask j.  None
     # has fewer vertices than first: relabeling would move it below first.
@@ -164,25 +152,21 @@ def _enumerate_partition(args: tuple[int, tuple[int, ...], int, int]) -> set[Can
             j = low.bit_length() - 1
             walk(masks + (universe[j],), cover | universe[j], candidates & apart[j])
 
-    walk((first,), first, apart[first_idx])
+    walk((first,), first, apart[universe.index(first)])
     return found
 
 
-def enumerate_pcgs(
-    n: int,
-    max_edges: int,
-    sizes: Iterable[int] | None = None,
-    workers: int = 1,
-) -> list[PCG]:
+def enumerate_pcgs(n: int, max_edges: int, sizes: Iterable[int] | None = None) -> list[PCG]:
     """Every valid graph, exactly once up to relabeling, in canonical order.
 
     ``sizes`` restricts edge cardinalities (default: everything the size
-    rule allows).  Work is partitioned by the smallest edge mask and the
-    partitions are merged and sorted, so worker count never changes the
-    output.  At most min(workers, CPU count, partitions) processes start.
+    rule allows).  Relabeling moves the smallest edge of a structure onto
+    ``(1 << s) - 1``, so one walk per edge size s covers every structure.
+    A one-vertex edge never leads a valid graph: no other edge may
+    contain its vertex, so that vertex is a component of its own.  Each
+    distinct (mask, theta) edge is built once and shared by every graph
+    that holds it.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if n > MAX_N:
         raise ResourceLimitError(f"enumeration supports n <= {MAX_N}")
     if max_edges > MAX_EDGES:
@@ -191,17 +175,15 @@ def enumerate_pcgs(
     universe = tuple(
         m for m in range(1, 1 << n) if m.bit_count() in allowed
     )
-    tasks = [(n, universe, i, max_edges) for i in range(len(universe))]
     forms: set[CanonicalForm] = set()
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_enumerate_partition, tasks):
-                forms |= part
-    else:
-        for task in tasks:
-            forms |= _enumerate_partition(task)
-    return [pcg_from_canonical(f) for f in sorted(forms)]
+    if max_edges >= 1:
+        for size in allowed - {1}:
+            forms |= _forms_led_by(n, universe, size, max_edges)
+    edges = {
+        (mask, theta): SignedEdge(tuple(v + 1 for v in range(n) if mask >> v & 1), theta)
+        for mask, theta in {e for _, form_edges in forms for e in form_edges}
+    }
+    return [PCG(n, tuple(map(edges.__getitem__, form_edges))) for _, form_edges in sorted(forms)]
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ from .states import (
 PROBABILITY_TOL = 1e-9
 # Largest n of the success table; 2**n overflows a float at n = 1024.
 MAX_TABLE_N = 1000
+# The table re-derives the loop value by exact simulation up to this n.
+SIMULATE_UP_TO = 12
 
 
 def _complex_dict(z: complex) -> dict[str, float]:
@@ -279,10 +281,10 @@ class SuccessRow:
         }
 
 
-def success_table(max_n: int, simulate_up_to: int = 12) -> list[SuccessRow]:
+def success_table(max_n: int) -> list[SuccessRow]:
     """Success-probability rows for n = 3..max_n.
 
-    For n up to ``simulate_up_to`` the loop value is re-derived by exact
+    For n up to ``SIMULATE_UP_TO`` the loop value is re-derived by exact
     simulation of the loop state and must agree with 1/(n+1) to 1e-9;
     disagreement raises :class:`CrossCheckError`.
     """
@@ -298,7 +300,7 @@ def success_table(max_n: int, simulate_up_to: int = 12) -> list[SuccessRow]:
         p_gen = 1.0 / 2 ** (n - 1)
         p_std = (1.0 + math.cos(math.pi / (n - 1))) / 2 ** n
         simulated = None
-        if n <= simulate_up_to:
+        if n <= SIMULATE_UP_TO:
             state = build_state(loop_pcg(n))
             simulated = joint_z_probability(state, range(1, n + 1), 0)
             if abs(simulated - p_loop) > PROBABILITY_TOL:

@@ -180,7 +180,7 @@ def test_search_census_and_determinism(capsys):
     }
     assert triangle in payload["instances"]
     code, out2, _ = run(capsys, "search", "--n", "3", "--max-edges", "3",
-                        "--sizes", "2..2", "--workers", "2")
+                        "--sizes", "2..2")
     assert out1 == out2
 
 
@@ -365,9 +365,10 @@ def test_lhv_cap_at_ceiling_exit_0_and_above_exit_1(capsys, psi_file):
 
 
 def test_search_workers_below_one_exit_1(capsys):
-    code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "0")
+    # search runs in one process and has no --workers option at all
+    code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "2")
     assert code == 1 and out == ""
-    assert "workers" in err and "Traceback" not in err
+    assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "1", "inf"])

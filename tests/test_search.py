@@ -108,13 +108,13 @@ def test_enumerated_instances_agree_with_brute_force():
         assert decision.colorable == (census.satisfying > 0)
 
 
-def test_parallel_matches_serial():
-    serial = enumerate_pcgs(4, 3, workers=1)
-    parallel = enumerate_pcgs(4, 3, workers=2)
-    assert [canonical_form(p) for p in serial] == [canonical_form(p) for p in parallel]
-    assert json.dumps(classify(serial).to_json_dict(), sort_keys=True) == json.dumps(
-        classify(parallel).to_json_dict(), sort_keys=True
-    )
+def test_each_distinct_edge_is_built_once():
+    stream = enumerate_pcgs(5, 4)
+    built = {}
+    for pcg in stream:
+        for e in pcg.edges:
+            assert built.setdefault((e.mask, e.theta), e) is e
+    assert len(stream) > len(built)  # edges really are shared across graphs
 
 
 def _labeled_count(n, max_edges):
@@ -260,36 +260,6 @@ def test_larger_census_pinned(n, max_edges, expected):
     census = classify(stream)
     assert (census.total, census.colorable, census.uncolorable, census.irreducible,
             _forms_digest(stream)) == expected
-
-
-def test_workers_clamped_to_cpus_and_tasks(monkeypatch):
-    import pcgraph.search
-
-    started = []
-
-    class RecordingPool:
-        # stands in for ProcessPoolExecutor, so no process starts
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(pcgraph.search, "ProcessPoolExecutor", RecordingPool)
-    serial = enumerate_pcgs(3, 3)  # 6 partitions: one per edge mask of size 1 or 2
-    for cpus, expected in ((4, 4), (64, 6), (1, None)):
-        monkeypatch.setattr(pcgraph.search.os, "cpu_count", lambda: cpus)
-        started.clear()
-        assert enumerate_pcgs(3, 3, workers=10**6) == serial
-        assert started == ([] if expected is None else [expected])
-    with pytest.raises(ValueError):
-        enumerate_pcgs(3, 3, workers=0)
 
 
 def test_caps_enforced():
