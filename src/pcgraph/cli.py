@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import catalog as catalog_mod
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     StateConditionError,
 )
-from .fileio import PcgFile, dump_pcg_file, load_pcg_file, to_dot, to_json_dict
+from .fileio import PcgFile, dump_pcg_file, indented_json, load_pcg_file, to_dot, to_json_dict
 from .graph import DEFAULT_CENSUS_CAP, MAX_CENSUS_CAP, validate
 from .search import classify, enumerate_pcgs
 from .states import (
@@ -41,11 +40,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _emit(payload: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+def _emit(payload: dict, as_json: bool, human: Callable[[], str]) -> None:
+    """Print the payload as JSON, or else the text that ``human`` builds."""
+    print(indented_json(payload) if as_json else human())
 
 
 def _parse_outcome(value_text: str, d: int, where: str) -> int:
@@ -123,10 +120,10 @@ def cmd_validate(args) -> int:
         ],
     }
     if report.ok:
-        _emit(payload, args.json, "ok")
+        _emit(payload, args.json, lambda: "ok")
         return 0
-    lines = "\n".join(f"violation [{v.kind}]: {v.message}" for v in report.violations)
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: "\n".join(
+        f"violation [{v.kind}]: {v.message}" for v in report.violations))
     return 2
 
 
@@ -143,16 +140,14 @@ def cmd_check(args) -> int:
         "rank_b": result.rank_b,
         "witness": list(result.witness.values) if result.witness else None,
     }
-    if result.colorable:
+
+    def human() -> str:
+        ranks = f"(rank A = {result.rank_a}, rank [A|Theta] = {result.rank_b})"
+        if not result.colorable:
+            return f"un-colorable {ranks}"
         witness = " ".join("G" if v == 1 else "R" for v in result.witness.values)
-        human = (
-            f"colorable (rank A = {result.rank_a}, rank [A|Theta] = {result.rank_b})\n"
-            f"witness coloring (vertex 1..n): {witness}"
-        )
-    else:
-        human = (
-            f"un-colorable (rank A = {result.rank_a}, rank [A|Theta] = {result.rank_b})"
-        )
+        return f"colorable {ranks}\nwitness coloring (vertex 1..n): {witness}"
+
     _emit(payload, args.json, human)
     return 0
 
@@ -163,7 +158,32 @@ def cmd_simulate(args) -> int:
     instance = load_pcg_file(args.file)
     state = build_state(instance.pcg, instance.alpha, instance.b_terms)
     payload: dict = {}
-    lines: list[str] = []
+
+    def human() -> str:
+        # Reads the payload and the observable parsed below; the keys
+        # present say which parts ran.
+        lines = []
+        if "condition" in payload:
+            lines.append(f"P(condition) = {payload['condition']['probability']:.12g}")
+        if "post_state" in payload:
+            return "\n".join(lines + ["conditioned state is empty"])
+        if "distribution" in payload:
+            label = {0: "+1", 1: "-1"} if state.d == 2 else {}
+            for power, prob in payload["distribution"].items():
+                name = label.get(int(power), f"omega^{power}")
+                lines.append(f"P({letter} product over {sites} = {name}) = {prob:.12g}")
+        if "joint_probability" in payload:
+            lines.append(f"P(all Z sites {sites} -> digit {digit}) = "
+                         f"{payload['joint_probability']:.12g}")
+        if "state" in payload:
+            amps = payload["state"]
+            lines.append(f"state has {len(amps)} nonzero amplitudes")
+            for k, a in amps.items():
+                lines.append(f"  |{k}> {a['re']:+.9f}{a['im']:+.9f}i")
+        if "sampled_counts" in payload:
+            lines.append(f"sampled counts ({args.shots} shots): {payload['sampled_counts']}")
+        return "\n".join(lines)
+
     if args.condition:
         assignment = _parse_condition(args.condition, state.d)
         prob, post = project_z(state, assignment)
@@ -171,10 +191,9 @@ def cmd_simulate(args) -> int:
             "assignment": {str(k): v for k, v in sorted(assignment.items())},
             "probability": prob,
         }
-        lines.append(f"P(condition) = {prob:.12g}")
         if post is None:
             payload["post_state"] = None
-            _emit(payload, args.json, "\n".join(lines + ["conditioned state is empty"]))
+            _emit(payload, args.json, human)
             return 0
         state = post
     if args.observable:
@@ -182,43 +201,21 @@ def cmd_simulate(args) -> int:
         if letter in ("X", "Y"):
             dist = x_product_distribution(state, sites, basis=letter)
             payload["distribution"] = {str(k): v for k, v in sorted(dist.items())}
-            label = {0: "+1", 1: "-1"} if state.d == 2 else {}
-            for power in sorted(dist):
-                name = label.get(power, f"omega^{power}")
-                lines.append(
-                    f"P({letter} product over {sites} = {name}) = {dist[power]:.12g}"
-                )
         else:
             digit = 0
             if outcome is not None:
                 digit = _parse_outcome(outcome, state.d, f"observable outcome {outcome!r}")
-            prob = joint_z_probability(state, sites, digit)
-            payload["joint_probability"] = prob
-            lines.append(f"P(all Z sites {sites} -> digit {digit}) = {prob:.12g}")
+            payload["joint_probability"] = joint_z_probability(state, sites, digit)
     elif not args.condition:
-        listing = state.listing()
-        payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in listing}
-        lines.append(f"state has {len(listing)} nonzero amplitudes")
-        for k, a in listing:
-            lines.append(f"  |{k}> {a.real:+.9f}{a.imag:+.9f}i")
+        payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in state.listing()}
     if args.shots:
         counts = sample_counts(state, args.shots, args.seed)
         payload["sampled_counts"] = dict(sorted(counts.items()))
-        lines.append(f"sampled counts ({args.shots} shots): {dict(sorted(counts.items()))}")
-    _emit(payload, args.json, "\n".join(lines))
+    _emit(payload, args.json, human)
     return 0
 
 
-def cmd_verify(args) -> int:
-    instance = load_pcg_file(args.file)
-    cert = verify(
-        instance.pcg,
-        instance.alpha,
-        instance.b_terms,
-        lhv_cap=args.lhv_cap,
-        tolerance=args.tolerance,
-    )
-    payload = cert.to_json_dict()
+def _certificate_text(cert) -> str:
     lines = [
         f"instance: n={cert.n}, {len(cert.edges)} edges, digest {cert.pcg_digest[:16]}",
         f"ranks: rank(A)={cert.rank_a}, rank([A|Theta])={cert.rank_b}"
@@ -243,20 +240,36 @@ def cmd_verify(args) -> int:
     )
     verdict = cert.verdict.upper() if cert.verdict == "paradox" else cert.verdict
     lines.append(f"verdict: {verdict}" + (f" ({cert.reason})" if cert.reason else ""))
-    _emit(payload, args.json, "\n".join(lines))
+    return "\n".join(lines)
+
+
+def cmd_verify(args) -> int:
+    instance = load_pcg_file(args.file)
+    cert = verify(
+        instance.pcg,
+        instance.alpha,
+        instance.b_terms,
+        lhv_cap=args.lhv_cap,
+        tolerance=args.tolerance,
+    )
+    _emit(cert.to_json_dict(), args.json, lambda: _certificate_text(cert))
     return 0
 
 
 def cmd_table(args) -> int:
     rows = success_table(args.max_n)
     payload = {"rows": [r.to_json_dict() for r in rows]}
-    lines = ["   n        loop  generalized     standard" + ("    simulated" if args.simulate else "")]
-    for r in rows:
-        line = f"{r.n:4d}  {r.p_loop:10.8f}  {r.p_generalized:11.8g}  {r.p_standard:11.8g}"
-        if args.simulate:
-            line += f"  {r.simulated_loop:11.8f}" if r.simulated_loop is not None else "            -"
-        lines.append(line)
-    _emit(payload, args.json, "\n".join(lines))
+
+    def human() -> str:
+        lines = ["   n        loop  generalized     standard" + ("    simulated" if args.simulate else "")]
+        for r in rows:
+            line = f"{r.n:4d}  {r.p_loop:10.8f}  {r.p_generalized:11.8g}  {r.p_standard:11.8g}"
+            if args.simulate:
+                line += f"  {r.simulated_loop:11.8f}" if r.simulated_loop is not None else "            -"
+            lines.append(line)
+        return "\n".join(lines)
+
+    _emit(payload, args.json, human)
     return 0
 
 
@@ -276,7 +289,7 @@ def cmd_search(args) -> int:
     payload = census.to_json_dict()
     if not args.irreducible_only:
         payload["instances"] = [p.to_json_dict() for p in stream]
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(indented_json(payload))
     return 0
 
 
@@ -334,7 +347,7 @@ def cmd_catalog(args) -> int:
                     {"sites": list(c.sites), "sign": c.sign} for c in entry.pps.checks
                 ],
             }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(indented_json(payload))
         return 0
     # export
     if entry.pcg is None:
@@ -344,7 +357,7 @@ def cmd_catalog(args) -> int:
     if args.output:
         dump_pcg_file(instance, args.output)
     else:
-        print(json.dumps(to_json_dict(instance), indent=2, sort_keys=True))
+        print(indented_json(to_json_dict(instance)))
     return 0
 
 

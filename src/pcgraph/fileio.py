@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Mapping
 
@@ -134,8 +135,77 @@ def load_pcg_file(path: str | Path) -> PcgFile:
     return from_json_dict(data)
 
 
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def indented_json(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, for str-keyed
+    dicts, lists, tuples, str, int, float, bool and None.
+
+    The stdlib encodes indented output in pure Python through nested
+    generators; writing into one list by plain recursion takes about
+    half the time, and the CLI prints every certificate this way.
+    """
+    out: list[str] = []
+    put = out.append
+
+    def write(obj, nl: str) -> None:
+        kind = type(obj)
+        if kind is dict:
+            if not obj:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(obj):
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(sep + _quote(key) + ": ")
+                write(obj[key], inner)
+                sep = "," + inner
+            put(nl + "}")
+        elif kind is list or kind is tuple:
+            if not obj:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in obj:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif kind is str:
+            put(_quote(obj))
+        elif kind is int:
+            put(int.__repr__(obj))
+        elif kind is float:
+            put(_float_text(obj))
+        elif obj is None:
+            put("null")
+        elif obj is True:
+            put("true")
+        elif obj is False:
+            put("false")
+        else:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 def dump_pcg_file(instance: PcgFile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(instance), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(indented_json(to_json_dict(instance)) + "\n")
 
 
 def _edge_color(theta: int) -> str:

@@ -14,7 +14,6 @@ vertex 1 in the least significant bit.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -178,24 +177,28 @@ def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     """(i, j) for each edge mask i contained in edge mask j, in order of i then j.
 
     Equal masks are reported once, with i < j; none means an antichain.
-    Masks are bucketed by size: mask i can lie in a mask of larger size,
-    and in a mask of its own size only if the two are equal, which a
-    lookup finds.  So masks of one size cost O(p), not O(p^2).
+    Masks are indexed by vertex: a mask containing mask i contains each
+    of i's vertices, so mask i is tested only against the masks through
+    its least-used vertex (against every mask if it is empty).
     """
-    by_size: dict[int, list[int]] = {}
-    by_mask: dict[int, list[int]] = {}
-    for j, m in enumerate(masks):
-        by_size.setdefault(m.bit_count(), []).append(j)
-        by_mask.setdefault(m, []).append(j)
+    through: dict[int, list[int]] = {}  # vertex -> indices of the masks containing it
+    vertex_lists = [mask_vertices(m) for m in masks]
+    for j, vertices in enumerate(vertex_lists):
+        for v in vertices:
+            if v in through:
+                through[v].append(j)
+            else:
+                through[v] = [j]
+    everything = range(len(masks))
     for i, mi in enumerate(masks):
-        size = mi.bit_count()
-        js = [j for s, bucket in by_size.items() if s > size
-              for j in bucket if mi & masks[j] == mi]
-        equal = by_mask[mi]
-        js += equal[bisect_right(equal, i):]
-        js.sort()
-        for j in js:
-            yield i, j
+        candidates = everything
+        for v in vertex_lists[i]:
+            if len(through[v]) < len(candidates):
+                candidates = through[v]
+        for j in candidates:
+            mj = masks[j]
+            if mi & mj == mi and j != i and (mj != mi or j > i):
+                yield i, j
 
 
 def components(masks: Iterable[int]) -> list[int]:
@@ -322,8 +325,13 @@ def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCe
     Within a block an edge's parity over its high vertices is a
     constant, so its satisfaction over the block is a fixed 2^k-bit
     truth table of its low vertices, complemented when that constant
-    is odd.  Every assignment is still checked, independently of the
-    rank criterion, and memory stays O(p 2^k) bits for any n.
+    is odd.  Edges with no vertex above k have one table for every
+    block, so their AND is taken once, before the walk; if it is 0, no
+    assignment satisfies them and no block is walked.  Edges with the
+    same high vertices share their parity in every block, so their
+    tables merge into one (even, odd) pair.  Every assignment is still
+    checked against every edge's table, independently of the rank
+    criterion, and memory stays O(p 2^k) bits for any n.
     """
     if cap > MAX_CENSUS_CAP:
         raise ResourceLimitError(f"census cap {cap} exceeds the ceiling of {MAX_CENSUS_CAP}")
@@ -332,17 +340,27 @@ def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCe
     k = min(pcg.n, CENSUS_BLOCK_BITS)
     ones = (1 << (1 << k)) - 1
     low = [_variable_table(v, k) for v in range(k)]
-    constraints = []
+    invariant = ones  # AND of the edges with no vertex above k: the same in every block
+    by_high: dict[int, list[int]] = {}  # high mask -> ANDed tables for even and odd parity
     for e in pcg.edges:
         satisfied = 0 if e.theta_bit else ones  # for even high parity
         for v in e.vertices:
             if v <= k:
                 satisfied ^= low[v - 1]
-        constraints.append((e.mask >> k, (satisfied, satisfied ^ ones)))
+        high = e.mask >> k
+        if not high:
+            invariant &= satisfied
+        elif high in by_high:
+            tables = by_high[high]
+            tables[0] &= satisfied
+            tables[1] &= satisfied ^ ones
+        else:
+            by_high[high] = [satisfied, satisfied ^ ones]
+    constraints = list(by_high.items())
     satisfying = 0
     first = None
-    for h in range(1 << (pcg.n - k)):
-        acc = ones
+    for h in range(1 << (pcg.n - k) if invariant else 0):
+        acc = invariant
         for high, tables in constraints:
             acc &= tables[(h & high).bit_count() & 1]
             if not acc:

@@ -21,7 +21,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import compress
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CrossCheckError, ResourceLimitError, StateConditionError
@@ -78,14 +80,14 @@ class SparseState:
             raise ValueError("site count must be at least 1")
         if d < 2:
             raise ValueError("local dimension must be at least 2")
-        size = d**n
+        size = 1 << n if d == 2 else d**n
         cleaned: dict[int, complex] = {}
         for key, amp in amps.items():
             if not 0 <= key < size:
                 raise ValueError(f"basis key {key} is outside 0..{d}^{n}-1")
             if abs(amp) >= PRUNE_TOL:
                 cleaned[key] = complex(amp)
-        norm2 = sum(abs(a) ** 2 for a in cleaned.values())
+        norm2 = sum([abs(a) ** 2 for a in cleaned.values()])
         if normalize:
             if norm2 == 0:
                 raise ValueError("cannot normalize the zero state")
@@ -94,6 +96,15 @@ class SparseState:
         elif abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {norm2} is not 1 within {NORM_TOL}")
         return cls(n, d, cleaned)
+
+    @cached_property
+    def _key_index(self) -> dict[int, list[tuple[int, int]]]:
+        """Qubit keys bucketed by their lowest set bit (key 0 under -1), each
+        as (position in the state's key order, key), built on first use."""
+        index: dict[int, list[tuple[int, int]]] = {}
+        for pos, key in enumerate(self.amplitudes):
+            index.setdefault((key & -key).bit_length() - 1, []).append((pos, key))
+        return index
 
     def amplitude(self, key: str) -> complex:
         """Amplitude of the basis state spelled by a digit string."""
@@ -206,17 +217,38 @@ def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, co
 
 
 def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, complex]:
-    """The qubit amplitudes whose key agrees with ``want`` on the bits of ``mask``."""
+    """The qubit amplitudes whose key agrees with ``want`` on the bits of ``mask``.
+
+    A matching key other than 0 has its lowest set bit at want's lowest
+    bit, or at a free site (one outside ``mask``) below it; with
+    ``want = 0``, at any free site.  So only those buckets of the key
+    index are visited, each key in them is tested against ``mask``, and
+    the matches come back in the state's own key order.
+    """
     if state.d != 2:
         raise ValueError(f"a site mask conditions qubits only, got d={state.d}")
     if mask < 0 or mask >> state.n:
         raise ValueError(f"site mask {mask:#x} has sites outside 1..{state.n}")
-    if want & ~mask:
+    if want and want & ~mask:
         raise ValueError(f"outcome bits {want & ~mask:#x} lie outside the site mask {mask:#x}")
-    # A matching key has no bit outside ceiling, so it is at most ceiling:
-    # one comparison rejects most longer keys before the AND.
-    ceiling = ((1 << state.n) - 1) ^ mask | want
-    return {k: a for k, a in state.amplitudes.items() if k <= ceiling and k & mask == want}
+    if want:
+        low = want & -want
+        free = (low - 1) & ~mask
+        first = low.bit_length() - 1
+    else:
+        free = ((1 << state.n) - 1) ^ mask
+        first = -1
+    index = state._key_index
+    found = [entry for entry in index.get(first, ()) if entry[1] & mask == want]
+    while free:
+        low = free & -free
+        for entry in index.get(low.bit_length() - 1, ()):
+            if entry[1] & mask == want:
+                found.append(entry)
+        free ^= low
+    found.sort()
+    amps = state.amplitudes
+    return {k: amps[k] for _, k in found}
 
 
 def project_z(
@@ -236,7 +268,7 @@ def project_z(
         raise ValueError("outcome bits go with a site mask; a site map carries its own digits")
     else:
         matching = _matching(state, assignment)
-    prob = sum(abs(a) ** 2 for a in matching.values())
+    prob = sum([abs(a) ** 2 for a in matching.values()])
     if prob <= 0.0:
         return 0.0, None
     scale = 1 / math.sqrt(prob)
@@ -251,6 +283,13 @@ def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dic
         return {k ^ mask: a for k, a in amps.items()}
     places = [d ** (s - 1) for s in sites]  # digit 0 wraps to d-1, others step down
     return {k + sum(-p if k // p % d else (d - 1) * p for p in places): a for k, a in amps.items()}
+
+
+@lru_cache(maxsize=64)  # every row for d = 2..7 fits; a row for any d takes O(d) memory
+def _inverse_root_row(d: int, j: int) -> tuple[complex, ...]:
+    """omega(d) ** (-j*m) for m = 0..d-1."""
+    w = omega(d)
+    return tuple(w ** (-j * m) for m in range(d))
 
 
 def x_product_distribution(
@@ -279,20 +318,18 @@ def x_product_distribution(
         mask = site_mask(site_set)
         amps = {k: a * (-1j) ** (k & mask).bit_count() for k, a in amps.items()}
     d = state.d
-    w = omega(d)
     # Moments phi_m = <psi| W^m |psi> determine the spectral weights.
-    moments, current = [], amps
-    for m in range(d):
-        if m:
-            current = _apply_shift(current, site_set, d)
-        moments.append(sum(a.conjugate() * current[k] for k, a in amps.items() if k in current))
+    moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
+    for _ in range(1, d):
+        current = _apply_shift(current, site_set, d)
+        moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
     dist: dict[int, float] = {}
     for j in range(d):
-        val = sum(w ** (-j * m) * moments[m] for m in range(d)) / d
+        val = sum(map(mul, _inverse_root_row(d, j), moments)) / d
         if abs(val.imag) > 1e-9:
             raise CrossCheckError(f"non-real spectral weight {val} for power {j} of the "
                                   f"{basis} product over sites {sorted(site_set)} (d={d})")
-        dist[j] = max(0.0, val.real)
+        dist[j] = val.real if val.real > 0.0 else 0.0  # max(0.0, val.real), NaN to 0.0 too
     return dist
 
 

@@ -5,7 +5,8 @@ paths: ranks come from subset-span enumeration or a Gauss-Jordan loop,
 censuses from plain nested loops or a dense numpy grid, and state
 checks from dense numpy linear algebra.  The Hardy records are the one exception: they reuse
 the state kernels, but condition through per-site assignment maps
-instead of the site masks that ``verify`` uses.  The retired
+instead of the site masks that ``verify`` uses.  ``scan_matching_mask``
+is the Z-conditioning scan over every key that the key index replaced.  The retired
 combinations walk rebuilds its own relabel tables and its own antichain
 and connectivity tests.
 """
@@ -101,6 +102,20 @@ def per_site_hardy_records(pcg: PCG, alpha=1.0, b_terms=()):
         probabilities.append(x_product_distribution(post, e.vertices)[e.theta_bit])
     union = sorted({v for e in pcg.edges for v in all_sites - set(e.vertices)})
     return probabilities, tuple(union), joint_z_probability(state, union, 0)
+
+
+def scan_matching_mask(state, mask: int, want: int) -> dict[int, complex]:
+    """The qubit amplitudes whose key agrees with ``want`` on the bits of ``mask``."""
+    if state.d != 2:
+        raise ValueError(f"a site mask conditions qubits only, got d={state.d}")
+    if mask < 0 or mask >> state.n:
+        raise ValueError(f"site mask {mask:#x} has sites outside 1..{state.n}")
+    if want & ~mask:
+        raise ValueError(f"outcome bits {want & ~mask:#x} lie outside the site mask {mask:#x}")
+    # A matching key has no bit outside ceiling, so it is at most ceiling:
+    # one comparison rejects most longer keys before the AND.
+    ceiling = ((1 << state.n) - 1) ^ mask | want
+    return {k: a for k, a in state.amplitudes.items() if k <= ceiling and k & mask == want}
 
 
 def exhaustive_solve_exists(rows: list[int], rhs_bits: list[int], cols: int) -> bool:

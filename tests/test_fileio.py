@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgraph import (
     BTerm,
@@ -15,6 +17,7 @@ from pcgraph import (
     to_json_dict,
 )
 from pcgraph.catalog import magic_m9_pcg, triangle_pcg
+from pcgraph.fileio import indented_json
 from pcgraph.search import canonical_form
 
 
@@ -127,3 +130,31 @@ def test_dot_hyperedges_use_junction_nodes():
     assert "e0 -- v1 [color=red];" in dot
     green = to_dot(triangle_pcg(-1))
     assert "color=green" in green and "color=red" not in green
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+    | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text() | st.sampled_from(["\x00\x1f\x7f", "\u00e9\u2713\U0001d11e", '"\\/\n\t\r\b\f'])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_indented_json_matches_stdlib(value):
+    assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_indented_json_refuses_what_it_cannot_write():
+    for value in ({1, 2}, {1: "int key"}, 1j):
+        with pytest.raises(TypeError):
+            indented_json(value)

@@ -108,6 +108,12 @@ def test_nested_pairs_matches_pairwise_oracle(uniform):
         assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks)), masks
 
 
+def test_nested_pairs_with_empty_masks():
+    # an empty mask has no vertex to index by, and lies inside every mask
+    masks = [0, 0b11, 0, 0b1, 0b11]
+    assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks))
+
+
 def test_nested_pairs_on_wide_one_size_lists():
     masks = [0b11 << i for i in range(300)] + [0b11 << 7, 0b11 << 299, 0b11 << 7]
     assert list(nested_pairs(masks)) == [(7, 300), (7, 302), (299, 301), (300, 302)]
@@ -254,6 +260,24 @@ def test_census_blocks_match_naive_oracle(monkeypatch, block_bits):
         census = brute_force_colorings(pcg)
         assert (census.total, census.satisfying) == naive_census(pcg)
         assert _witness_bits(census) == naive_first_witness(pcg)
+
+
+@pytest.mark.parametrize("pcg", [
+    # a red triangle on vertices 1..3: the block-invariant table is 0
+    PCG.build(7, [((1, 2), 1), ((2, 3), 1), ((1, 3), 1), ((3, 4), -1), ((4, 5, 6, 7), 1)]),
+    # edges through vertex 5 share one high mask, and so do those through 4 and 6
+    PCG.build(6, [((1, 5), 1), ((2, 5), -1), ((3, 5), 1), ((1, 4, 6), -1), ((2, 4, 6), 1)]),
+    PCG.build(6, [((1, 5), 1), ((2, 5), 1), ((1, 2, 5, 6), 1), ((5, 6), -1), ((3, 4), 1)]),
+    # every edge low-only, so all eight blocks hold the same table
+    PCG.build(6, [((1, 2), 1), ((2, 3), -1)]),
+    PCG.build(6, [((1, 2), 1), ((2, 3), 1), ((1, 3), 1)]),
+], ids=["zero-invariant", "shared-high", "shared-high-uncolorable", "low-only", "low-only-zero"])
+def test_census_hoisting_matches_oracles(monkeypatch, pcg):
+    monkeypatch.setattr(graph, "CENSUS_BLOCK_BITS", 3)
+    census = brute_force_colorings(pcg)
+    assert (census.total, census.satisfying) == naive_census(pcg)
+    assert _witness_bits(census) == naive_first_witness(pcg)
+    assert (census.total, census.satisfying, _witness_bits(census)) == truth_table_census(pcg)
 
 
 def _random_antichain(rng: random.Random, n: int, p: int) -> PCG:

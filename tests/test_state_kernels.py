@@ -20,10 +20,16 @@ from pcgraph import (
     sample_counts,
     x_product_distribution,
 )
-from pcgraph.catalog import triangle_pcg
-from pcgraph.states import MAX_SHOTS, parse_key, render_key
+from pcgraph.catalog import loop_pcg, triangle_pcg
+from pcgraph.states import MAX_SHOTS, _matching_mask, parse_key, render_key
 
-from _oracles import dense_product_distribution, dense_vector
+from _oracles import (
+    dense_product_distribution,
+    dense_vector,
+    random_b_terms,
+    random_valid_pcg,
+    scan_matching_mask,
+)
 
 MAX_SITES = {2: 6, 3: 4, 4: 3, 5: 3}
 
@@ -107,6 +113,43 @@ def test_project_z_mask_form_matches_dense_and_map_form(case):
     else:
         assert np.allclose(dense_vector(post), kept / np.sqrt(expected), atol=1e-12)
         assert post == map_post
+
+
+def _bit_listing(amps: dict[int, complex]) -> list[tuple[int, str, str]]:
+    """Keys in order with their amplitudes' exact bits (-0.0 differs from 0.0)."""
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in amps.items()]
+
+
+def _assert_index_matches_scan(state, mask: int, want: int) -> None:
+    assert _bit_listing(_matching_mask(state, mask, want)) == \
+        _bit_listing(scan_matching_mask(state, mask, want)), (mask, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubit_state_and_mask())
+def test_indexed_conditioning_matches_key_scan(case):
+    _assert_index_matches_scan(*case)
+
+
+def test_indexed_conditioning_matches_key_scan_on_graph_states_with_b_terms():
+    rng = random.Random(73)
+    states = [build_state(loop_pcg(130))]
+    while len(states) < 60:
+        pcg = random_valid_pcg(rng, max_n=10, max_edges=7)
+        b_terms = random_b_terms(rng, pcg)
+        if b_terms:
+            states.append(build_state(pcg, 0.6, b_terms))
+    for state in states:
+        plain = SparseState(state.n, state.d, dict(state.amplitudes))
+        full = (1 << state.n) - 1
+        keys = list(state.amplitudes)
+        masks = [0, full] + [full ^ k for k in keys] + [rng.randrange(full + 1) for _ in range(5)]
+        for mask in masks:
+            wants = {0, mask} | {k & mask for k in keys} | {rng.randrange(full + 1) & mask}
+            for want in wants:
+                _assert_index_matches_scan(state, mask, want)
+        # the index is built by now, and stays out of equality and repr
+        assert state == plain and repr(state) == repr(plain)
 
 
 def test_project_z_mask_form_checks_its_range():

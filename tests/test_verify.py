@@ -147,6 +147,27 @@ def test_wide_loops_certify_as_paradoxes(pcg):
     assert cert.rank_b == cert.rank_a + 1 == pcg.n
 
 
+@pytest.mark.parametrize("pcg", [triangle_pcg(), loop_pcg(40), odd_red_loop_pcg(41), magic_m9_pcg()],
+                         ids=["triangle", "loop", "odd-red", "magic-m9"])
+def test_hardy_loop_conditions_and_measures_once_per_edge(monkeypatch, pcg):
+    calls = {"project_z": 0, "x_product_distribution": 0}
+
+    def spy(name):
+        real = getattr(verify_mod, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(verify_mod, name, spy(name))
+    cert = verify(pcg)
+    assert calls == {"project_z": pcg.p, "x_product_distribution": pcg.p}
+    assert len(cert.hardy_checks) == pcg.p
+
+
 # --- success table -----------------------------------------------------------
 
 def test_table_first_rows():
