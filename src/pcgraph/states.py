@@ -41,7 +41,10 @@ def omega(d: int) -> complex:
 
 def site_mask(sites: Iterable[int]) -> int:
     """Qubit key with bit v-1 set for every listed 1-based site v."""
-    return sum(map((1).__lshift__, set(sites))) >> 1  # sum of 2^v, halved
+    mask = 0
+    for v in sites:
+        mask |= 1 << v
+    return mask >> 1
 
 
 def parse_key(text: str, n: int, d: int) -> int:
@@ -99,11 +102,11 @@ class SparseState:
 
     @cached_property
     def _key_index(self) -> dict[int, list[tuple[int, int]]]:
-        """Qubit keys bucketed by their lowest set bit (key 0 under -1), each
-        as (position in the state's key order, key), built on first use."""
+        """Qubit keys bucketed by their lowest set bit (key 0 alone under 0),
+        each as (position in the state's key order, key), built on first use."""
         index: dict[int, list[tuple[int, int]]] = {}
         for pos, key in enumerate(self.amplitudes):
-            index.setdefault((key & -key).bit_length() - 1, []).append((pos, key))
+            index.setdefault(key & -key, []).append((pos, key))
         return index
 
     def amplitude(self, key: str) -> complex:
@@ -212,8 +215,14 @@ def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, co
                               site_mask(compress(assignment, assignment.values())))
     d = state.d
     places = [(d ** (site - 1), digit) for site, digit in assignment.items()]
-    return {k: a for k, a in state.amplitudes.items()
-            if all(k // place % d == digit for place, digit in places)}
+    matching = {}
+    for k, a in state.amplitudes.items():
+        for place, digit in places:
+            if k // place % d != digit:
+                break
+        else:
+            matching[k] = a
+    return matching
 
 
 def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, complex]:
@@ -232,17 +241,16 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
     if want and want & ~mask:
         raise ValueError(f"outcome bits {want & ~mask:#x} lie outside the site mask {mask:#x}")
     if want:
-        low = want & -want
-        free = (low - 1) & ~mask
-        first = low.bit_length() - 1
+        first = want & -want
+        free = (first - 1) & ~mask
     else:
+        first = 0
         free = ((1 << state.n) - 1) ^ mask
-        first = -1
     index = state._key_index
     found = [entry for entry in index.get(first, ()) if entry[1] & mask == want]
     while free:
         low = free & -free
-        for entry in index.get(low.bit_length() - 1, ()):
+        for entry in index.get(low, ()):
             if entry[1] & mask == want:
                 found.append(entry)
         free ^= low
@@ -281,8 +289,18 @@ def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dic
     if d == 2:
         mask = site_mask(sites)
         return {k ^ mask: a for k, a in amps.items()}
-    places = [d ** (s - 1) for s in sites]  # digit 0 wraps to d-1, others step down
-    return {k + sum(-p if k // p % d else (d - 1) * p for p in places): a for k, a in amps.items()}
+    # Each digit steps down by one, so the key drops by every place, and a
+    # digit 0 wraps to d-1, which adds d times its place back.
+    places = [d ** (s - 1) for s in sites]
+    total = sum(places)
+    shifted = {}
+    for k, a in amps.items():
+        wrapped = 0
+        for p in places:
+            if not k // p % d:
+                wrapped += p
+        shifted[k - total + d * wrapped] = a
+    return shifted
 
 
 @lru_cache(maxsize=64)  # every row for d = 2..7 fits; a row for any d takes O(d) memory

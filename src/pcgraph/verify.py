@@ -59,7 +59,8 @@ def _complex_dict(z: complex) -> dict[str, float]:
 
 def pcg_digest(pcg: PCG) -> str:
     """Stable SHA-256 digest of the graph as given (order-sensitive)."""
-    blob = json.dumps(pcg.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(pcg.to_json_dict(), sort_keys=True, separators=(",", ":"),
+                      check_circular=False)  # a fresh tree of dicts and lists has no cycle
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

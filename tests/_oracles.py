@@ -6,9 +6,9 @@ censuses from plain nested loops or a dense numpy grid, and state
 checks from dense numpy linear algebra.  The Hardy records are the one exception: they reuse
 the state kernels, but condition through per-site assignment maps
 instead of the site masks that ``verify`` uses.  ``scan_matching_mask``
-is the Z-conditioning scan over every key that the key index replaced.  The retired
-combinations walk rebuilds its own relabel tables and its own antichain
-and connectivity tests.
+is the Z-conditioning scan over every key that the key index replaced.
+The retired combinations walk rebuilds its own relabel tables and its
+own antichain and connectivity tests.
 """
 from __future__ import annotations
 

@@ -21,6 +21,7 @@ from pcgraph import (
     x_product_distribution,
 )
 from pcgraph.catalog import loop_pcg, triangle_pcg
+from pcgraph.states import site_mask
 
 from _oracles import (
     dense_product_distribution,
@@ -36,6 +37,12 @@ def approx_amp(state, key, value, tol=1e-12):
 
 
 # --- construction -------------------------------------------------------------
+
+def test_site_mask_sets_each_listed_site_once():
+    assert site_mask([]) == 0
+    assert site_mask([3, 1, 3]) == site_mask((1, 3)) == site_mask(iter([3, 1])) == 0b101
+    assert site_mask(range(1, 201)) == (1 << 200) - 1
+
 
 def test_minimal_state_amplitudes():
     state = build_state(triangle_pcg(), alpha=1.0)
