@@ -118,6 +118,20 @@ def test_simulate_condition_spellings(capsys, psi_file):
     assert abs(json.loads(out)["condition"]["probability"] - 0.75) < 1e-9
 
 
+@pytest.mark.parametrize("args,expected", [
+    ([], "state has 4 nonzero amplitudes\n  |000> +0.500000000+0.000000000i\n"
+         "  |011> -0.500000000+0.000000000i\n  |101> -0.500000000+0.000000000i\n"
+         "  |110> -0.500000000+0.000000000i\n"),
+    (["--condition", "Z1=1", "--observable", "X:2,3"],
+     "P(condition) = 0.5\nP(X product over [2, 3] = +1) = 0\nP(X product over [2, 3] = -1) = 1\n"),
+    (["--condition", "Z1=-1,Z2=-1,Z3=-1", "--observable", "X:2,3"],
+     "P(condition) = 0\nconditioned state is empty\n"),
+    (["--observable", "Z:1,2=-1"], "P(all Z sites [1, 2] -> digit 1) = 0.25\n"),
+], ids=["state", "condition-x", "empty-condition", "joint-z"])
+def test_simulate_text_lines(capsys, triangle_file, args, expected):
+    assert run(capsys, "simulate", triangle_file, *args)[:2] == (0, expected)
+
+
 def test_simulate_sampler_is_seeded(capsys, triangle_file):
     code1, out1, _ = run(capsys, "simulate", triangle_file, "--shots", "50",
                          "--seed", "3", "--json")
