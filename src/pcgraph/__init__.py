@@ -28,6 +28,7 @@ from .graph import (
     edge,
     from_adjacency_map,
     is_colorable,
+    irreducibility_status,
     is_irreducible,
     validate,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "enumerate_pcgs",
     "from_adjacency_map",
     "from_json_dict",
+    "irreducibility_status",
     "is_colorable",
     "is_irreducible",
     "joint_z_probability",

@@ -390,22 +390,54 @@ def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCe
     return ColoringCensus(1 << pcg.n, satisfying, witness)
 
 
+def irreducibility_status(pcg: PCG) -> str:
+    """Irreducibility status of ``pcg`` from one elimination.
+
+    Returns "not_applicable" for a colorable graph, else "irreducible"
+    or "reducible".  Irreducible means no proper sub-list of edges is
+    already un-colorable and every vertex is constrained by some edge.
+    The rows ``e.mask | theta_bit << n`` are reduced on the vertex
+    columns, with no row tags; the graph is colorable iff no row that
+    vanished kept its theta bit.  The proofs of un-colorability are the
+    odd vectors y of the left kernel K = {y : y A = 0}, and no edge can
+    be dropped iff the only odd y selects every edge.  Any other nonzero
+    y in K, or its sum with that all-ones proof, would be an odd y that
+    misses an edge, so this holds iff K = {0, all-ones}: rank A = p - 1
+    and every vertex lies on an even number of edges (the XOR of the
+    edge masks is 0).  The argument needs no domain rule, so it holds
+    for any edge list, duplicates and p = 0 included.
+    """
+    n = pcg.n
+    rows = [e.mask | e.theta_bit << n for e in pcg.edges]
+    rank = len(eliminate(rows, n))
+    if not any(rows[rank:]):  # a vanished row holds only its theta bit
+        return "not_applicable"
+    if rank != len(rows) - 1:
+        return "reducible"
+    parity = covered = 0
+    for e in pcg.edges:
+        m = e.mask
+        parity ^= m
+        covered |= m
+    return "irreducible" if not parity and covered == (1 << n) - 1 else "reducible"
+
+
 def is_irreducible(pcg: PCG) -> IrreducibilityResult:
     """Classify an un-colorable graph as irreducible or reducible.
 
-    Irreducible means no proper sub-list of edges is already
-    un-colorable and every vertex is constrained by some edge.  Checking
-    single-edge deletions suffices: dropping constraints only enlarges
-    the solution set.  The reducible witness is a minimal un-colorable
-    edge subset found by greedy deletion in edge order.  Both answers
-    come from one elimination: deleting edge i restricts the proofs of
-    un-colorability (left-kernel y with y.Theta = 1) to y_i = 0, and the
-    deletion is kept iff an odd proof survives.
+    The status is :func:`irreducibility_status`.  Only a reducible
+    graph gets a second, tagged elimination, which builds its witness:
+    a minimal un-colorable edge subset found by greedy deletion in edge
+    order.  Deleting edge i restricts the proofs of un-colorability
+    (left-kernel y with y.Theta = 1) to y_i = 0, and the deletion is
+    kept iff an odd proof survives.  Checking single-edge deletions
+    suffices: dropping constraints only enlarges the solution set.
     """
+    status = irreducibility_status(pcg)
+    if status != "reducible":
+        return IrreducibilityResult(status)
     rows, pivots = _reduce_hardy_system(pcg)
     proofs = [row >> pcg.n for row in rows[len(pivots):]]
-    if not any(y & 1 for y in proofs):
-        return IrreducibilityResult("not_applicable")
     keep = []
     for i, e in enumerate(pcg.edges):
         bit = 2 << i
@@ -415,9 +447,6 @@ def is_irreducible(pcg: PCG) -> IrreducibilityResult:
             proofs = restricted
         else:
             keep.append(e)
-    covered = {v for e in pcg.edges for v in e.vertices}
-    if len(keep) == pcg.p and len(covered) == pcg.n:
-        return IrreducibilityResult("irreducible")
     return IrreducibilityResult("reducible", tuple(keep))
 
 

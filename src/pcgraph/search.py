@@ -7,7 +7,7 @@ from itertools import permutations
 from typing import Iterable
 
 from .errors import ResourceLimitError
-from .graph import PCG, SignedEdge, components, is_irreducible
+from .graph import PCG, SignedEdge, components, irreducibility_status
 
 MAX_N = 6
 MAX_EDGES = 12
@@ -115,44 +115,45 @@ def _signed_forms(n: int, masks: tuple[int, ...]) -> set[CanonicalForm]:
 
 
 def _forms_led_by(
-    n: int, universe: tuple[int, ...], size: int, max_edges: int
+    n: int, universe: tuple[int, ...], apart: list[int], size: int, max_edges: int
 ) -> set[CanonicalForm]:
     """All canonical forms whose first edge is ``(1 << size) - 1``.
 
     An orderly walk (Read 1978) over ascending antichains: a child adds a
-    later mask that lies neither inside nor over any mask it holds, and a
-    prefix that some relabeling sorts lower is dropped with its subtree.
-    The k smallest images of any extension are elementwise at most the
-    sorted images of the prefix, so the extension sorts lower as well.
+    later mask that lies neither inside nor over any mask it holds
+    (``apart[j]`` holds the later masks apart from mask j), and a prefix
+    that some relabeling sorts lower is dropped with its subtree.  The k
+    smallest images of any extension are elementwise at most the sorted
+    images of the prefix, so the extension sorts lower as well.  The
+    walk starts from the one-edge prefix without testing it: a single
+    edge sorts lower under no relabeling and, having fewer than n
+    vertices, is never a graph.
     """
     found: set[CanonicalForm] = set()
-    first = (1 << size) - 1
     full = (1 << n) - 1
-    # apart[j]: the later masks that lie neither inside nor over mask j.  None
-    # has fewer vertices than first: relabeling would move it below first.
-    apart = []
-    for j, mj in enumerate(universe):
-        bits = 0
-        for k in range(j + 1, len(universe)):
-            mk = universe[k]
-            if mk.bit_count() >= size and mj & mk not in (mj, mk):
-                bits |= 1 << k
-        apart.append(bits)
 
-    def walk(masks: tuple[int, ...], cover: int, candidates: int) -> None:
-        if _sorts_lower(n, masks):
-            return
-        if cover == full and components(masks) == [full]:
-            found.update(_signed_forms(n, masks))
-        if len(masks) == max_edges:
-            return
+    def extend(masks: tuple[int, ...], cover: int, candidates: int) -> None:
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             j = low.bit_length() - 1
-            walk(masks + (universe[j],), cover | universe[j], candidates & apart[j])
+            child = masks + (universe[j],)
+            if _sorts_lower(n, child):
+                continue
+            child_cover = cover | universe[j]
+            if child_cover == full and components(child) == [full]:
+                found.update(_signed_forms(n, child))
+            if len(child) < max_edges:
+                extend(child, child_cover, candidates & apart[j])
 
-    walk((first,), first, apart[universe.index(first)])
+    first = (1 << size) - 1
+    # No mask may have fewer vertices than first: relabeling would move it
+    # below first.  Every later candidate set is a subset of this one.
+    wide_enough = 0
+    for k, mk in enumerate(universe):
+        if mk.bit_count() >= size:
+            wide_enough |= 1 << k
+    extend((first,), first, apart[universe.index(first)] & wide_enough)
     return found
 
 
@@ -163,7 +164,8 @@ def enumerate_pcgs(n: int, max_edges: int, sizes: Iterable[int] | None = None) -
     rule allows).  Relabeling moves the smallest edge of a structure onto
     ``(1 << s) - 1``, so one walk per edge size s covers every structure.
     A one-vertex edge never leads a valid graph: no other edge may
-    contain its vertex, so that vertex is a component of its own.  Each
+    contain its vertex, so that vertex is a component of its own.  A
+    valid graph needs two edges, since one edge misses a vertex.  Each
     distinct (mask, theta) edge is built once and shared by every graph
     that holds it.
     """
@@ -176,9 +178,16 @@ def enumerate_pcgs(n: int, max_edges: int, sizes: Iterable[int] | None = None) -
         m for m in range(1, 1 << n) if m.bit_count() in allowed
     )
     forms: set[CanonicalForm] = set()
-    if max_edges >= 1:
+    if max_edges >= 2:
+        apart = []  # apart[j]: the later masks that lie neither inside nor over mask j
+        for j, mj in enumerate(universe):
+            bits = 0
+            for k in range(j + 1, len(universe)):
+                if mj & universe[k] not in (mj, universe[k]):
+                    bits |= 1 << k
+            apart.append(bits)
         for size in allowed - {1}:
-            forms |= _forms_led_by(n, universe, size, max_edges)
+            forms |= _forms_led_by(n, universe, apart, size, max_edges)
     edges = {
         (mask, theta): SignedEdge(tuple(v + 1 for v in range(n) if mask >> v & 1), theta)
         for mask, theta in {e for _, form_edges in forms for e in form_edges}
@@ -207,14 +216,15 @@ class SearchCensus:
 def classify(pcgs: Iterable[PCG]) -> SearchCensus:
     """Count colorability classes; keep each irreducible instance.
 
-    One elimination per graph: :func:`is_irreducible` answers
-    "not_applicable" exactly when the graph is colorable.
+    One tag-free elimination per graph: :func:`irreducibility_status`
+    answers "not_applicable" exactly when the graph is colorable, and
+    builds no reducible witness.
     """
     total = colorable = 0
     irreducible: list[PCG] = []
     for pcg in pcgs:
         total += 1
-        status = is_irreducible(pcg).status
+        status = irreducibility_status(pcg)
         if status == "not_applicable":
             colorable += 1
         elif status == "irreducible":

@@ -8,7 +8,9 @@ the state kernels, but condition through per-site assignment maps
 instead of the site masks that ``verify`` uses.  ``scan_matching_mask``
 is the Z-conditioning scan over every key that the key index replaced.
 The retired combinations walk rebuilds its own relabel tables and its
-own antichain and connectivity tests.
+own antichain and connectivity tests.  ``greedy_deletion_irreducibility``
+is the tagged greedy deletion that decided every irreducibility status
+before the one-elimination criterion; it runs on ``gf2.eliminate``.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import numpy as np
 from pcgraph import (
     PCG,
     BTerm,
+    IrreducibilityResult,
     SignedEdge,
     build_state,
     joint_z_probability,
@@ -28,6 +31,7 @@ from pcgraph import (
     validate,
     x_product_distribution,
 )
+from pcgraph.gf2 import eliminate
 from pcgraph.search import canonical_form
 
 
@@ -212,6 +216,51 @@ def greedy_uncolorable_subset(pcg: PCG) -> tuple[SignedEdge, ...]:
         else:
             i += 1
     return tuple(keep)
+
+
+def _reduce_hardy_system(pcg: PCG) -> tuple[list[int], list[int]]:
+    """Rows ``e.mask | theta_bit << n | 1 << (n + 1 + i)`` reduced on the n vertex columns.
+
+    Pivot rows give rank(A) and, through back substitution, the coloring
+    with free variables green.
+    The other rows, shifted right by n, span the left kernel {y : y A = 0}
+    with bit 0 = y.Theta and bit i + 1 = y_i; an odd y is a proof that
+    the edges it selects cannot all be satisfied.
+    """
+    n = pcg.n
+    rows = [e.mask | e.theta_bit << n | 1 << (n + 1 + i) for i, e in enumerate(pcg.edges)]
+    return rows, eliminate(rows, n)
+
+
+def greedy_deletion_irreducibility(pcg: PCG) -> IrreducibilityResult:
+    """Classify an un-colorable graph as irreducible or reducible.
+
+    Irreducible means no proper sub-list of edges is already
+    un-colorable and every vertex is constrained by some edge.  Checking
+    single-edge deletions suffices: dropping constraints only enlarges
+    the solution set.  The reducible witness is a minimal un-colorable
+    edge subset found by greedy deletion in edge order.  Both answers
+    come from one elimination: deleting edge i restricts the proofs of
+    un-colorability (left-kernel y with y.Theta = 1) to y_i = 0, and the
+    deletion is kept iff an odd proof survives.
+    """
+    rows, pivots = _reduce_hardy_system(pcg)
+    proofs = [row >> pcg.n for row in rows[len(pivots):]]
+    if not any(y & 1 for y in proofs):
+        return IrreducibilityResult("not_applicable")
+    keep = []
+    for i, e in enumerate(pcg.edges):
+        bit = 2 << i
+        lead = next((y for y in proofs if y & bit), 0)  # 0: every proof already has y_i = 0
+        restricted = [y ^ lead if y & bit else y for y in proofs if y != lead]
+        if any(y & 1 for y in restricted):
+            proofs = restricted
+        else:
+            keep.append(e)
+    covered = {v for e in pcg.edges for v in e.vertices}
+    if len(keep) == pcg.p and len(covered) == pcg.n:
+        return IrreducibilityResult("irreducible")
+    return IrreducibilityResult("reducible", tuple(keep))
 
 
 def _connected_cover(n: int, edges: tuple[frozenset[int], ...]) -> bool:

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcgraph import (
     PCG,
@@ -13,6 +14,7 @@ from pcgraph import (
     SignedEdge,
     brute_force_colorings,
     from_adjacency_map,
+    irreducibility_status,
     is_colorable,
     is_irreducible,
     validate,
@@ -22,6 +24,7 @@ from pcgraph.graph import MAX_CENSUS_CAP, mask_vertices, nested_pairs
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
 from _oracles import (
+    greedy_deletion_irreducibility,
     greedy_uncolorable_subset,
     naive_census,
     naive_first_witness,
@@ -378,6 +381,40 @@ def test_irreducible_means_every_deletion_colorable():
         else:
             assert (result.status, result.witness) == ("reducible", greedy)
     assert seen["irreducible"] > 0 and seen["reducible"] > 0 and seen["not_applicable"] > 0
+
+
+@st.composite
+def signed_hypergraphs(draw):
+    """Any edge list on n <= 9 vertices, p <= 12; sometimes closed so its masks XOR to 0."""
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(
+        st.tuples(st.sets(st.integers(1, n), min_size=1), st.sampled_from((+1, -1))),
+        max_size=11,
+    ))
+    parity = set()
+    for vertices, _ in edges:
+        parity ^= vertices
+    if parity and draw(st.booleans()):
+        edges.append((parity, draw(st.sampled_from((+1, -1)))))
+    return PCG.build(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_hypergraphs())
+@example(PCG(3, ()))
+@example(PCG.build(3, [((1, 2), +1)]))
+@example(PCG.build(3, [((1, 2), +1), ((2, 3), +1), ((1, 3), +1), ((1, 2), +1)]))  # duplicate
+@example(PCG.build(3, [((1, 2), +1), ((1, 2), -1)]))  # duplicate, opposite signs
+@example(PCG.build(3, [((1, 2), +1), ((1, 2, 3), +1), ((3,), -1)]))  # nested
+@example(PCG.build(4, [((2, 3), +1), ((1, 3), +1), ((1, 2), +1)]))  # vertex 4 uncovered
+@example(PCG.build(4, [((2, 3), +1), ((1, 3), +1), ((1, 2), +1), ((3, 4), -1)]))  # bridged
+@example(PCG.build(6, [  # two disjoint triangles: rank p - 2, masks XOR to 0
+    ((1, 2), +1), ((2, 3), +1), ((1, 3), +1), ((4, 5), +1), ((5, 6), +1), ((4, 6), +1),
+]))
+def test_irreducibility_status_matches_greedy_deletion(pcg):
+    expected = greedy_deletion_irreducibility(pcg)
+    assert irreducibility_status(pcg) == expected.status
+    assert is_irreducible(pcg) == expected
 
 
 # --- from_adjacency_map ------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from pcgraph import (
     brute_force_colorings,
     classify,
     enumerate_pcgs,
+    irreducibility_status,
     is_colorable,
     is_irreducible,
     validate,
@@ -22,6 +24,7 @@ from pcgraph.search import _signed_forms, _sorts_lower, canonical_form
 
 from _oracles import (
     combinations_enumeration,
+    greedy_deletion_irreducibility,
     is_unsigned_canonical,
     random_valid_pcg,
     reference_enumeration,
@@ -260,6 +263,22 @@ def test_larger_census_pinned(n, max_edges, expected):
     census = classify(stream)
     assert (census.total, census.colorable, census.uncolorable, census.irreducible,
             _forms_digest(stream)) == expected
+
+
+@pytest.mark.parametrize("n,max_edges", [(5, 5), (6, 4)])
+def test_irreducibility_status_matches_greedy_deletion_on_every_form(n, max_edges):
+    seen = Counter()
+    for pcg in enumerate_pcgs(n, max_edges):
+        expected = greedy_deletion_irreducibility(pcg)
+        assert irreducibility_status(pcg) == expected.status
+        assert is_irreducible(pcg) == expected
+        seen[expected.status] += 1
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_fewer_than_two_edges_enumerate_nothing(n):
+    assert enumerate_pcgs(n, 0) == enumerate_pcgs(n, 1) == []
 
 
 def test_caps_enforced():

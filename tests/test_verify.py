@@ -9,6 +9,8 @@ from pcgraph import (
     BTerm,
     PCG,
     PcgValidationError,
+    classify,
+    enumerate_pcgs,
     pcg_digest,
     success_table,
     validate,
@@ -306,3 +308,29 @@ def test_qudit_product_contradiction_structure():
                 sum(assignment[k] for k in range(n) if k != j) for j in range(n)
             )
             assert total % d == 0
+
+
+def test_channels_agree_on_every_enumerated_form():
+    forms = enumerate_pcgs(5, 5)
+    verdicts = set()
+    applicable = 0
+    for pcg in forms:
+        cert = verify(pcg)
+        verdicts.add(cert.verdict)
+        assert (cert.verdict == "paradox") == (not cert.colorable)
+        assert cert.rank_b == cert.rank_a + (not cert.colorable)
+        assert cert.census_total == 1 << pcg.n
+        assert cert.census_satisfying == (1 << pcg.n - cert.rank_a if cert.colorable else 0)
+        assert all(abs(c.probability - 1) <= 1e-12 for c in cert.hardy_checks)
+        if cert.success.formula_applicable:
+            applicable += 1
+            assert cert.success.simulated == pytest.approx(1 / (pcg.p + 1), abs=1e-12)
+    assert verdicts == {"paradox", "no_paradox"} and applicable > 0
+    representatives = classify(forms).representatives
+    assert representatives
+    for pcg in representatives:
+        parity = 0
+        for e in pcg.edges:
+            parity ^= e.mask
+        assert parity == 0
+        assert sum(e.theta_bit for e in pcg.edges) % 2 == 1
