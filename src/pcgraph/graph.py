@@ -25,7 +25,7 @@ DEFAULT_CENSUS_CAP = 24
 # Where no subtree of its walk can be skipped, its time doubles per
 # vertex: 0.10 s at n = 30 on a 2-CPU host.
 MAX_CENSUS_CAP = 30
-# Each census block covers 2^16 assignments, so each truth table is 8 KB.
+# A census block covers at most 2^16 assignments, so a table is at most 8 KB.
 CENSUS_BLOCK_BITS = 16
 
 
@@ -302,90 +302,131 @@ def is_colorable(pcg: PCG) -> ColorabilityResult:
     return ColorabilityResult(True, rank_a, rank_a, Coloring.from_bits(bits, pcg.n))
 
 
-def _variable_table(v_idx: int, n: int) -> int:
-    """Truth table of bit v over all 2^n assignments, packed into one int.
+def census(d: int, n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int, int | None]:
+    """Count the x in Z_d^n with sum_{v in S} x_v = c (mod d) for every constraint (S, c).
 
-    Bit b of the result is the value of bit ``v_idx`` in assignment b.
-    Built by doubling, so cost is O(n) big-int operations.
+    S is a site mask, bit v-1 for site v.  Returns the count and the least
+    solution in counter order, as its index sum_v x_v d^(v-1), or None.
+
+    Blocks of d^k assignments share their high n - k digits h, one bit per
+    low part.  Over a block, (S, c) holds where the low digits of S sum to
+    c - s_H(h), s_H the sum of h over S's high digits H: one of the d
+    digit-sum tables of its low support L, built once per distinct L.  For
+    d = 2 the odd table is the XOR of the tables of x_m = 1 over m in L; for
+    d > 2 adding (or removing) digit m rotates the tables by x_m, from the
+    nearest support already built.  Constraints with no high digit are ANDed
+    once into a block-invariant table; those sharing H merge into d tables
+    indexed by s_H.  The blocks are walked depth first, most significant
+    digit first, d children per node; a group is ANDed in at the node that
+    fixes its last high digit, and a subtree whose table is 0 is skipped.
+    Every assignment is checked against every constraint, from digit sums.
+
+    Block size: tables take a few d^k-bit operations per constraint, and
+    each of up to d^(n-k) leaves about one per constraint plus an
+    interpreter overhead worth some 2^6 table bits (fitted to the fastest
+    k measured for the qudit family and binary graphs at n = 23..30).  The
+    total p (d^k + 2^6 d^(n-k)) is least near d^(2k) = 2^6 d^n, so k is the
+    largest value with d^(2k - n) <= 2^6, k <= n and d^k <= 2^CENSUS_BLOCK_BITS:
+    k = 3, 4, 4, 4, 5 for the qudit family at d = 3..7, 15 for d = 2 at n = 24.
     """
-    width = 1 << (v_idx + 1)
-    table = ((1 << (1 << v_idx)) - 1) << (1 << v_idx)
-    total = 1 << n
-    while width < total:
-        table |= table << width
-        width <<= 1
-    return table
+    k = min(n, CENSUS_BLOCK_BITS)  # d >= 2, so d^k <= 2^CENSUS_BLOCK_BITS needs no more
+    while d ** k > 1 << CENSUS_BLOCK_BITS or d ** (2 * k) > d ** n << 6:
+        k -= 1
+    size, top = d ** k, n - k
+    ones = (1 << size) - 1
+    # last[m] marks x_m = d - 1.  XOR with itself moved down d^m marks x_m = d - 1
+    # under x_(m+1) = d - 2 and d - 1; moves by whole periods d^(m+1) fill the rest.
+    last = [ones ^ (1 << size - size // d) - 1] if k else []
+    for m in range(k - 2, -1, -1):
+        t = last[0] ^ last[0] >> d ** m
+        covered = 2
+        while covered < d:
+            t |= t >> covered * d ** (m + 1)
+            covered *= 2
+        last.insert(0, t)
 
+    def rotate(tables: list[int], m: int, sign: int) -> list[int]:
+        # the tables of a support with digit m added (sign 1) or taken out (sign -1)
+        out = [0] * d
+        for v in range(d):
+            digit = last[m] >> (d - 1 - v) * d ** m  # x_m = v
+            for r in range(d):
+                out[(r + sign * v) % d] |= tables[r] & digit
+        return out
 
-def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCensus:
-    """Exhaustive census of all 2^n colorings against every edge constraint.
-
-    Enumeration is the plain binary counter with vertex 1 least
-    significant.  The counter is walked in blocks of 2^k assignments,
-    k = min(n, CENSUS_BLOCK_BITS), that share their high n - k bits h.
-    Within a block an edge's parity over its high vertices is a
-    constant, so its satisfaction over the block is a fixed 2^k-bit
-    truth table of its low vertices, complemented when that constant
-    is odd.  Edges with no vertex above k have one table for every
-    block, so their AND is taken once, before the walk; if it is 0, no
-    assignment satisfies them and no block is walked.  Edges with the
-    same high vertices share their parity in every block, so their
-    tables merge into one (even, odd) pair.  The blocks are walked
-    depth first over h, most significant bit first, so a pair is ANDed
-    in as soon as its high bits are fixed, once for every block below
-    that node, and a subtree whose table is already 0 is skipped.
-    Every assignment is still checked against every edge's table,
-    independently of the rank criterion, and memory stays
-    O(p 2^k) bits for any n.
-    """
-    if cap > MAX_CENSUS_CAP:
-        raise ResourceLimitError(f"census cap {cap} exceeds the ceiling of {MAX_CENSUS_CAP}")
-    if pcg.n > cap:
-        raise ResourceLimitError(f"census over 2^{pcg.n} assignments exceeds cap {cap}")
-    k = min(pcg.n, CENSUS_BLOCK_BITS)
-    ones = (1 << (1 << k)) - 1
-    low = [_variable_table(v, k) for v in range(k)]
-    invariant = ones  # AND of the edges with no vertex above k: the same in every block
-    by_high: dict[int, list[int]] = {}  # high mask -> ANDed tables for even and odd parity
-    for e in pcg.edges:
-        satisfied = 0 if e.theta_bit else ones  # for even high parity
-        for v in e.vertices:
-            if v <= k:
-                satisfied ^= low[v - 1]
-        high = e.mask >> k
+    low_digits = (1 << k) - 1
+    by_low = {0: [ones] + [0] * (d - 1)}  # low support -> its d digit-sum tables
+    supports = {mask & low_digits for mask, _ in constraints} - {0}
+    if d == 2:
+        for low in supports:
+            odd, rest = last[(low & -low).bit_length() - 1], low & (low - 1)
+            while rest:
+                odd ^= last[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            by_low[low] = [ones ^ odd, odd]
+    for low in sorted(supports, key=int.bit_count, reverse=True) if d > 2 else ():
+        base = min(by_low, key=lambda built: (built ^ low).bit_count())
+        tables = by_low[base]
+        for rest, sign in ((low & ~base, 1), (base & ~low, -1)):
+            while rest:
+                tables = rotate(tables, (rest & -rest).bit_length() - 1, sign)
+                rest &= rest - 1
+        by_low[low] = tables
+    invariant = ones  # AND of the constraints with no high digit: the same in every block
+    by_high: dict[int, list[int]] = {}  # high support -> merged tables indexed by s_H
+    for mask, c in constraints:
+        tables, high = by_low[mask & low_digits], mask >> k
         if not high:
-            invariant &= satisfied
+            invariant &= tables[c % d]
         elif high in by_high:
-            tables = by_high[high]
-            tables[0] &= satisfied
-            tables[1] &= satisfied ^ ones
+            merged = by_high[high]
+            for s in range(d):
+                merged[s] &= tables[(c - s) % d]
         else:
-            by_high[high] = [satisfied, satisfied ^ ones]
-    top = pcg.n - k  # high bits
-    # A pair's parity is fixed once its lowest high bit is assigned; walking
-    # the high bits from the most significant down, that is depth top - bit.
+            by_high[high] = [tables[(c - s) % d] for s in range(d)]
+    # h holds high digit i as bit i of planes 0 .. x_i - 1, plane j from bit j*top, so
+    # s_H(h) is the popcount of h AND H copied into every plane (unary[v]: v planes).
+    unary = [sum(1 << j * top for j in range(v)) for v in range(d)]
+    # A group's sum is fixed once its lowest high digit is assigned; walking
+    # the high digits from the most significant down, that is depth top - digit.
     ready: list[list[tuple[int, list[int]]]] = [[] for _ in range(top + 1)]
-    for high, tables in by_high.items():
-        ready[top - (high & -high).bit_length() + 1].append((high, tables))
+    for high, merged in by_high.items():
+        ready[top - (high & -high).bit_length() + 1].append((high * unary[-1], merged))
+    steps = [[copies << top - 1 - depth for copies in unary] for depth in range(top)]
     satisfying = 0
     first = None
 
     def walk(depth: int, h: int, acc: int) -> None:
         nonlocal satisfying, first
-        for high, tables in ready[depth]:
-            acc &= tables[(h & high).bit_count() & 1]
+        for fields, merged in ready[depth]:
+            acc &= merged[(h & fields).bit_count() % d]
             if not acc:
                 return
         if depth == top:
             satisfying += acc.bit_count()
             if first is None:
-                first = h << k | (acc & -acc).bit_length() - 1
+                first = sum((h >> i & unary[-1]).bit_count() * size * d ** i for i in range(top))
+                first += (acc & -acc).bit_length() - 1
             return
-        walk(depth + 1, h, acc)
-        walk(depth + 1, h | 1 << (top - 1 - depth), acc)
+        depth += 1
+        for step in steps[depth - 1]:
+            walk(depth, h | step, acc)
 
     if invariant:
         walk(0, 0, invariant)
+    return satisfying, first
+
+
+def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCensus:
+    """Exhaustive census of all 2^n colorings: :func:`census` with d = 2 and one
+    constraint per edge, its vertices' bits summing to its theta bit; the first
+    witness is the least solution in binary-counter order, vertex 1 least significant.
+    """
+    if cap > MAX_CENSUS_CAP:
+        raise ResourceLimitError(f"census cap {cap} exceeds the ceiling of {MAX_CENSUS_CAP}")
+    if pcg.n > cap:
+        raise ResourceLimitError(f"census over 2^{pcg.n} assignments exceeds cap {cap}")
+    satisfying, first = census(2, pcg.n, [(e.mask, e.theta_bit) for e in pcg.edges])
     witness = None if first is None else Coloring.from_bits(first, pcg.n)
     return ColoringCensus(1 << pcg.n, satisfying, witness)
 

@@ -5,7 +5,8 @@ instance:
 
 * algebraic: GF(2) ranks of the incidence system,
 * exhaustive-classical: a full census of vertex colorings (equivalently,
-  local-hidden-variable assignments),
+  local-hidden-variable assignments) by :func:`pcgraph.graph.census`,
+  which also counts the qudit family's assignments,
 * quantum: exact simulation of the per-edge conditional certainties and
   of the success probability of the all-+1 Z event.
 
@@ -13,8 +14,9 @@ The verdict is "paradox" only when every channel agrees: the constraint
 system is unsatisfiable classically while simulation certifies each
 constraint with probability 1 and the triggering event has positive
 probability.  Any disagreement between the algebraic and exhaustive
-routes aborts certification with :class:`CrossCheckError` instead of
-emitting a certificate.
+routes, or a colorable verdict whose witness violates an edge, aborts
+certification with :class:`CrossCheckError` instead of emitting a
+certificate.
 """
 from __future__ import annotations
 
@@ -22,16 +24,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, product
 from typing import Sequence
 
 from .errors import CrossCheckError, ResourceLimitError
 from .graph import (
-    CENSUS_BLOCK_BITS,
     DEFAULT_CENSUS_CAP,
     PCG,
     Coloring,
     brute_force_colorings,
+    census,
     is_colorable,
     mask_vertices,
     require_valid,
@@ -184,24 +185,34 @@ def verify(
 
     Raises :class:`PcgValidationError` for structurally invalid graphs,
     :class:`ValueError` unless ``0 <= tolerance < 1``, and
-    :class:`CrossCheckError` if the rank criterion and the exhaustive
-    census ever disagree (which would indicate a bug, not a property of
-    the instance).
+    :class:`CrossCheckError`, naming the instance digest, if a colorable
+    verdict's witness violates an edge or the census does not count
+    exactly 2^(n - rank A) colorings (none if un-colorable): a bug, not
+    a property of the instance.
     """
     _check_tolerance(tolerance)
     require_valid(pcg)
     b_terms = tuple(b_terms)
+    digest = pcg_digest(pcg)
     decision = is_colorable(pcg)
+    if decision.colorable and not decision.witness.satisfies(pcg):
+        raise CrossCheckError(
+            f"instance {digest}: the rank criterion's witness {list(decision.witness.values)} "
+            f"violates an edge"
+        )
 
     census_total: int | None = None
     census_satisfying: int | None = None
     if pcg.n <= lhv_cap:
-        census = brute_force_colorings(pcg, cap=lhv_cap)
-        census_total, census_satisfying = census.total, census.satisfying
-        if (census.satisfying == 0) != (not decision.colorable):
+        lhv = brute_force_colorings(pcg, cap=lhv_cap)
+        census_total, census_satisfying = lhv.total, lhv.satisfying
+        # a colorable system's solutions are a coset of the (n - rank A)-dimensional kernel
+        expected = 1 << pcg.n - decision.rank_a if decision.colorable else 0
+        if lhv.satisfying != expected:
             raise CrossCheckError(
-                f"rank criterion says colorable={decision.colorable} but the census "
-                f"found {census.satisfying}/{census.total} satisfying colorings"
+                f"instance {digest}: rank criterion says colorable={decision.colorable} with "
+                f"rank A = {decision.rank_a}, so {expected} satisfying colorings, but the "
+                f"census found {lhv.satisfying}/{lhv.total}"
             )
 
     state = build_state(pcg, alpha, b_terms)
@@ -230,21 +241,19 @@ def verify(
         formula_applicable=_success_formula_applicable(pcg, b_terms),
     )
 
+    # an un-colorable verdict that got this far has a census of 0 or none
     hardy_certain = all(abs(c.probability - 1.0) <= tolerance for c in checks)
-    census_refutes = census_satisfying == 0 if census_total is not None else True
     if decision.colorable:
         verdict, reason = "no_paradox", "colorable"
     elif not hardy_certain:
         verdict, reason = "no_paradox", "hardy-check-not-certain"
     elif simulated <= 0.0:
         verdict, reason = "no_paradox", "zero-success-probability"
-    elif not census_refutes:
-        verdict, reason = "no_paradox", "classical-assignment-exists"
     else:
         verdict, reason = "paradox", None
 
     return ParadoxCertificate(
-        pcg_digest=pcg_digest(pcg),
+        pcg_digest=digest,
         n=pcg.n,
         edges=pcg.edges,
         alpha=complex(alpha),
@@ -337,81 +346,21 @@ class QuditCertificate:
         }
 
 
-def _digit_sum_tables(d: int, k: int, skip: int | None = None) -> list[int]:
-    """Bitsets over the d^k assignments of k base-d digits, one per digit sum mod d.
-
-    Bit b of table r is set iff the digits of b (digit 0 least
-    significant), leaving out digit ``skip``, sum to r mod d.  Each digit
-    widens the tables d-fold: a counted digit with value v places the
-    previous tables v widths up with their sums moved by v; the skipped
-    digit repeats them d times, one repunit multiplication per table.
-    """
-    tables = [1] + [0] * (d - 1)
-    width = 1
-    for m in range(k):
-        if m == skip:
-            repunit = ((1 << width * d) - 1) // ((1 << width) - 1)
-            tables = [t * repunit for t in tables]
-        else:
-            grown = []
-            for r in range(d):
-                t = 0
-                for v in range(d):
-                    t |= tables[(r - v) % d] << v * width
-                grown.append(t)
-            tables = grown
-        width *= d
-    return tables
-
-
-def _qudit_census(d: int, n: int) -> tuple[int, int]:
-    """Count assignments of omega-powers satisfying all n leave-one-out sums.
-
-    Constraint for conditioned site j: sum of the other n-1 powers must
-    be 1 mod d, i.e. the full sum must equal the power at j plus one.
-    Enumeration is exhaustive over the d^n assignments, one bit each,
-    with site 1 the least significant base-d digit.  They are walked in
-    blocks of d^k, k the largest value up to n with d^k <= 2^CENSUS_BLOCK_BITS,
-    that share the high n - k digits h.  With s_h the sum of h's digits,
-    low site j's constraint over a block is the table of low parts whose
-    sum minus digit j is 1 - s_h, and high site j's is the table of low
-    parts whose sum is 1 - s_h + h_j (all mod d).  These (k + 1) d tables
-    come from digit sums alone, so the census never uses the closed-form
-    solution, and memory stays O(k d^(k+1)) bits for any n.
-    """
-    k = 0
-    while k < n and d ** (k + 1) <= 1 << CENSUS_BLOCK_BITS:
-        k += 1
-    sums = _digit_sum_tables(d, k)
-    loo = [_digit_sum_tables(d, k, skip=j) for j in range(k)]
-    ones = (1 << d ** k) - 1
-    satisfying = 0
-    for high in product(range(d), repeat=n - k):
-        s = sum(high)
-        acc = ones
-        for table in chain(
-            (row[(1 - s) % d] for row in loo),
-            (sums[(1 - s + h) % d] for h in high),
-        ):
-            acc &= table
-            if not acc:
-                break
-        satisfying += acc.bit_count()
-    return d ** n, satisfying
-
-
 def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCertificate:
     """Certificate for the (d+1)-qudit pigeonhole instance.
 
     Checks that conditioning each site on Z=+1 pins the product of the
     remaining shifts to omega with certainty, that the all-+1 joint
     probability equals 1/(1+(d-1)(d+1)), and that no classical
-    assignment of omega-powers satisfies all the constraints at once.
+    assignment of omega-powers satisfies all the constraints at once:
+    :func:`census` counts, over all d^(d+1) assignments, those whose
+    powers at every site but j sum to 1 mod d for every site j, from
+    d alone, never from the state or the closed form.
     Raises :class:`ValueError` unless ``0 <= tolerance < 1``.
     """
     _check_tolerance(tolerance)
     state = build_qudit_family(d)
-    n = state.n
+    n = d + 1
     probs = []
     for j in range(1, n + 1):
         _, post = project_z(state, {j: 0})
@@ -419,7 +368,9 @@ def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCert
         probs.append(dist[1])
     joint = joint_z_probability(state, range(1, n + 1), 0)
     formula = 1.0 / (1 + (d - 1) * (d + 1))
-    total, satisfying = _qudit_census(d, n)
+    # site j's constraint: the powers at every other site sum to 1 mod d
+    full = (1 << n) - 1
+    satisfying, _ = census(d, n, [(full ^ 1 << j, 1) for j in range(n)])
     certain = all(abs(p - 1.0) <= tolerance for p in probs)
     paradox = certain and satisfying == 0 and joint > 0.0
     return QuditCertificate(
@@ -429,7 +380,7 @@ def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCert
         required_power=1,
         joint_simulated=joint,
         joint_formula=formula,
-        census_total=total,
+        census_total=d ** n,
         census_satisfying=satisfying,
         verdict="paradox" if paradox else "no_paradox",
     )

@@ -163,6 +163,22 @@ def itertools_qudit_census(d: int, n: int) -> tuple[int, int]:
     return d ** n, satisfying
 
 
+def product_census(d: int, n: int, constraints) -> tuple[int, int | None]:
+    """(satisfying, least satisfying index) by checking every x in Z_d^n.
+
+    ``itertools.product`` yields site n's digit first, so its order is
+    the counter order with site 1 least significant.
+    """
+    satisfying, first = 0, None
+    for index, x in enumerate(product(range(d), repeat=n)):
+        if all(sum(x[n - v] for v in range(1, n + 1) if mask >> (v - 1) & 1) % d == c % d
+               for mask, c in constraints):
+            satisfying += 1
+            if first is None:
+                first = index
+    return satisfying, first
+
+
 def grid_qudit_census(d: int, n: int) -> tuple[int, int]:
     """Qudit-family census over a dense (d,)*n numpy grid of full sums.
 

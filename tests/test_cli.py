@@ -292,6 +292,21 @@ def test_boolean_vertex_and_theta_exit_1(capsys, tmp_path):
     assert code == 1 and out == "" and "edges[0].vertices" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "verify"])
+def test_vertex_count_above_file_ceiling_exit_1_at_once(capsys, tmp_path, command):
+    from pcgraph.fileio import MAX_FILE_N
+
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 1000000, "edges": [{"vertices": [1, 2], "theta": 1}, '
+                    '{"vertices": [2, 3], "theta": 1}]}')
+    assert len(path.read_bytes()) == 93 and MAX_FILE_N < 10 ** 6
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == f"error: n: 1000000 exceeds the ceiling of {MAX_FILE_N} vertices\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["table"]) == 1  # missing required --max-n
     assert main(["no-such-command"]) == 1
@@ -358,9 +373,9 @@ def test_lhv_cap_above_ceiling_exit_1_before_any_census(capsys, monkeypatch, psi
     import pcgraph.graph
 
     def no_census(*args):
-        raise AssertionError("census truth table built despite the ceiling")
+        raise AssertionError("census run despite the ceiling")
 
-    monkeypatch.setattr(pcgraph.graph, "_variable_table", no_census)
+    monkeypatch.setattr(pcgraph.graph, "census", no_census)
     code, out, err = run(capsys, "verify", psi_file, "--lhv-cap", "100000")
     assert code == 1 and out == ""
     assert "ceiling" in err and "Traceback" not in err

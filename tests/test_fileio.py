@@ -100,6 +100,23 @@ def test_qudit_dimension_rejected_in_files():
         from_json_dict({"n": 3, "d": 3, "edges": [{"vertices": [1, 2], "theta": 1}]})
 
 
+def test_vertex_count_ceiling_is_checked_before_any_graph(monkeypatch):
+    from pcgraph import fileio
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph built despite the ceiling")
+
+    monkeypatch.setattr(fileio, "PCG", no_graph)
+    monkeypatch.setattr(fileio, "SignedEdge", no_graph)
+    edges = [{"vertices": [1, 2], "theta": 1}, {"vertices": [2, 3], "theta": 1}]
+    for n in (fileio.MAX_FILE_N + 1, 10 ** 12):
+        with pytest.raises(PcgFileError, match=f"n: {n} exceeds the ceiling of {fileio.MAX_FILE_N}"):
+            from_json_dict({"n": n, "edges": edges})
+    monkeypatch.undo()
+    at_ceiling = from_json_dict({"n": fileio.MAX_FILE_N, "edges": edges})
+    assert at_ceiling.pcg.n == fileio.MAX_FILE_N
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 3,\n  "edges": [}')

@@ -1,5 +1,6 @@
 import pickle
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -20,7 +21,7 @@ from pcgraph import (
     validate,
 )
 from pcgraph import graph
-from pcgraph.graph import MAX_CENSUS_CAP, mask_vertices, nested_pairs
+from pcgraph.graph import MAX_CENSUS_CAP, census, mask_vertices, nested_pairs
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
 from _oracles import (
@@ -29,6 +30,7 @@ from _oracles import (
     naive_census,
     naive_first_witness,
     pairwise_nested_pairs,
+    product_census,
     random_valid_pcg,
     truth_table_census,
 )
@@ -281,6 +283,77 @@ def test_census_hoisting_matches_oracles(monkeypatch, pcg):
     assert (census.total, census.satisfying) == naive_census(pcg)
     assert _witness_bits(census) == naive_first_witness(pcg)
     assert (census.total, census.satisfying, _witness_bits(census)) == truth_table_census(pcg)
+
+
+@st.composite
+def census_instances(draw):
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(1, max(1, {2: 10, 3: 6, 4: 5, 5: 4, 6: 4}[d])))
+    constraints = draw(st.lists(
+        st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, d - 1)), max_size=6))
+    return d, n, constraints
+
+
+@settings(max_examples=300, deadline=None)
+@given(census_instances(), st.sampled_from([1, 2, 3, graph.CENSUS_BLOCK_BITS]))
+def test_census_matches_product_count(instance, block_bits):
+    # any linear constraints mod d, with blocks of 2^1..2^3 assignments so
+    # the walk spans many blocks, or one block where it fits
+    d, n, constraints = instance
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "CENSUS_BLOCK_BITS", block_bits)
+        assert census(d, n, constraints) == product_census(d, n, constraints)
+
+
+def test_census_and_its_callers_never_name_the_rank_route_or_the_states():
+    import ast
+    import inspect
+    import types
+
+    from pcgraph import gf2, states
+
+    def defined_in(module) -> set[str]:
+        return {name for name, obj in vars(module).items() if not name.startswith("__")
+                and not isinstance(obj, types.ModuleType)
+                and getattr(obj, "__module__", module.__name__) == module.__name__}
+
+    forbidden = {"eliminate", "back_substitute", "is_colorable", "is_irreducible",
+                 "irreducibility_status", "gf2"} | defined_in(gf2)
+    quantum = {"states"} | defined_in(states)
+
+    def names(code: types.CodeType) -> set[str]:
+        # global and attribute names, through every nested function
+        found = set(code.co_names)
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                found |= names(const)
+        return found
+
+    for function in (graph.census, graph.brute_force_colorings):
+        assert not names(function.__code__) & (forbidden | quantum), function.__name__
+    qudit = sys.modules["pcgraph.verify"].verify_qudit_family
+    assert not names(qudit.__code__) & forbidden
+    # verify_qudit_family runs the quantum channel as well, so its census
+    # arguments are traced back through its assignments instead: every
+    # name they read must come from d alone
+    body = ast.parse(inspect.getsource(qudit)).body[0]
+    assigned = {}
+    for node in ast.walk(body):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        assigned.setdefault(name.id, []).append(node.value)
+    calls = [node for node in ast.walk(body) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "census"]
+    assert len(calls) == 1
+    pending, seen = list(calls[0].args), set()
+    while pending:
+        for name in ast.walk(pending.pop()):
+            if isinstance(name, ast.Name) and name.id not in seen:
+                seen.add(name.id)
+                pending.extend(assigned.get(name.id, []))
+    assert seen <= {"d", "n", "full", "j", "range"}, seen
 
 
 def _random_antichain(rng: random.Random, n: int, p: int) -> PCG:

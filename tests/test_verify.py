@@ -8,6 +8,9 @@ import pytest
 from pcgraph import (
     BTerm,
     PCG,
+    ColorabilityResult,
+    Coloring,
+    ColoringCensus,
     PcgValidationError,
     classify,
     enumerate_pcgs,
@@ -17,9 +20,10 @@ from pcgraph import (
     verify,
     verify_qudit_family,
 )
-from pcgraph import catalog
+from pcgraph import catalog, graph
 from pcgraph.catalog import loop_pcg, magic_m9_pcg, odd_red_loop_pcg, triangle_pcg
-from pcgraph.verify import _qudit_census
+from pcgraph.errors import CrossCheckError
+from pcgraph.graph import census
 
 from _oracles import (
     grid_qudit_census,
@@ -216,6 +220,17 @@ def test_qudit_d3_certificate():
     assert (cert.census_total, cert.census_satisfying) == (81, 0)
 
 
+def _leave_one_out(n: int) -> list[tuple[int, int]]:
+    """The qudit family's constraints: the powers at every site but j sum to 1."""
+    full = (1 << n) - 1
+    return [(full ^ 1 << j, 1) for j in range(n)]
+
+
+def qudit_census(d: int, n: int) -> tuple[int, int]:
+    """(total, satisfying) of the one census over the leave-one-out constraints."""
+    return d ** n, census(d, n, _leave_one_out(n))[0]
+
+
 def test_qudit_census_matches_itertools_count():
     # every (d, n) with d^n <= 5000, including the n != d+1 shapes whose
     # count is nonzero
@@ -223,38 +238,45 @@ def test_qudit_census_matches_itertools_count():
     for d in range(2, 12):
         n = 1
         while d ** n <= 5000:
-            census = _qudit_census(d, n)
-            assert census == itertools_qudit_census(d, n), (d, n)
-            nonzero += census[1] > 0
+            counted = qudit_census(d, n)
+            assert counted == itertools_qudit_census(d, n), (d, n)
+            nonzero += counted[1] > 0
             n += 1
     assert nonzero >= 10
     for d, n, satisfying in ((2, 2, 1), (3, 3, 1), (5, 3, 1), (4, 3, 0)):
-        assert _qudit_census(d, n) == (d ** n, satisfying)
+        assert qudit_census(d, n) == (d ** n, satisfying)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_qudit_census_matches_grid_oracle(d):
-    assert _qudit_census(d, d + 1) == grid_qudit_census(d, d + 1)
+    assert qudit_census(d, d + 1) == grid_qudit_census(d, d + 1)
 
 
 @pytest.mark.parametrize("block_bits", [1, 2, 3])
 def test_qudit_census_blocks_match_naive_oracle(monkeypatch, block_bits):
     # blocks of at most 2^block_bits assignments, so every shape spans
     # many blocks, and the block is a single assignment when d > 2^block_bits
-    monkeypatch.setattr(verify_mod, "CENSUS_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(graph, "CENSUS_BLOCK_BITS", block_bits)
     for d in range(2, 8):
         for n in range(1, 6):
             if d ** n <= 5000:
-                assert _qudit_census(d, n) == itertools_qudit_census(d, n), (d, n)
+                assert qudit_census(d, n) == itertools_qudit_census(d, n), (d, n)
     for d in range(2, 6):
-        assert _qudit_census(d, d + 1) == grid_qudit_census(d, d + 1), d
+        assert qudit_census(d, d + 1) == grid_qudit_census(d, d + 1), d
 
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_qudit_certificate_equals_grid_census_certificate(monkeypatch, d):
     cert = verify_qudit_family(d).to_json_dict()
-    monkeypatch.setattr(verify_mod, "_qudit_census", grid_qudit_census)
+    calls = []
+
+    def grid_census(d_arg, n, constraints):
+        calls.append((d_arg, n, sorted(constraints)))
+        return grid_qudit_census(d_arg, n)[1], None
+
+    monkeypatch.setattr(verify_mod, "census", grid_census)
     assert cert == verify_qudit_family(d).to_json_dict()
+    assert calls == [(d, d + 1, sorted(_leave_one_out(d + 1)))]
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 1.0, math.inf])
@@ -334,3 +356,60 @@ def test_channels_agree_on_every_enumerated_form():
             parity ^= e.mask
         assert parity == 0
         assert sum(e.theta_bit for e in pcg.edges) % 2 == 1
+
+
+def test_channels_agree_on_seeded_enumerated_forms_with_b_terms():
+    # |alpha| < 1 with random admissible b-terms on a seeded subset of the
+    # (5, 5) forms: the census, the ranks and the Hardy checks must not care
+    rng = random.Random(1707)
+    forms = rng.sample(enumerate_pcgs(5, 5), 300)
+    verdicts = set()
+    applicable = 0
+    for pcg in forms:
+        b_terms = ()
+        while not b_terms:
+            b_terms = random_b_terms(rng, pcg)
+        alpha = cmath.exp(2j * math.pi * rng.random()) * rng.uniform(0.1, 0.95)
+        cert = verify(pcg, alpha, b_terms)
+        verdicts.add(cert.verdict)
+        assert (cert.verdict == "paradox") == (not cert.colorable)
+        assert cert.census_satisfying == (1 << pcg.n - cert.rank_a if cert.colorable else 0)
+        assert all(abs(c.probability - 1) <= 1e-12 for c in cert.hardy_checks)
+        if cert.success.formula_applicable:
+            applicable += 1
+            assert cert.success.simulated == pytest.approx(abs(alpha) ** 2 / (pcg.p + 1), abs=1e-12)
+    assert verdicts == {"paradox", "no_paradox"} and applicable > 0
+
+
+def _colorable_pcg() -> PCG:
+    return triangle_pcg(-1)  # a green triangle: 2 of its 8 colorings satisfy it
+
+
+@pytest.mark.parametrize("pcg, off, expected", [
+    (_colorable_pcg(), 1, "colorable=True with rank A = 2, so 2 satisfying colorings, but the census found 3/8"),
+    (_colorable_pcg(), -1, "colorable=True with rank A = 2, so 2 satisfying colorings, but the census found 1/8"),
+    (_colorable_pcg(), -2, "colorable=True with rank A = 2, so 2 satisfying colorings, but the census found 0/8"),
+    (triangle_pcg(), 1, "colorable=False with rank A = 2, so 0 satisfying colorings, but the census found 1/8"),
+    (loop_pcg(6), 1, "colorable=False with rank A = 5, so 0 satisfying colorings, but the census found 1/64"),
+], ids=["colorable+1", "colorable-1", "colorable-to-0", "triangle+1", "loop+1"])
+def test_census_off_by_one_raises_cross_check_error(monkeypatch, pcg, off, expected):
+    # colorable: exactly 2^(n - rank A) colorings; un-colorable: none
+    counted = verify_mod.brute_force_colorings(pcg)
+    wrong = ColoringCensus(counted.total, counted.satisfying + off, counted.first_witness)
+    monkeypatch.setattr(verify_mod, "brute_force_colorings", lambda g, cap: wrong)
+    with pytest.raises(CrossCheckError, match=pcg_digest(pcg)) as info:
+        verify(pcg)
+    assert expected in str(info.value)
+
+
+def test_flipped_witness_bit_raises_cross_check_error(monkeypatch):
+    pcg = _colorable_pcg()
+    decision = verify_mod.is_colorable(pcg)
+    for v in range(pcg.n):
+        values = list(decision.witness.values)
+        values[v] = -values[v]
+        flipped = ColorabilityResult(True, decision.rank_a, decision.rank_b, Coloring(tuple(values)))
+        monkeypatch.setattr(verify_mod, "is_colorable", lambda g: flipped)
+        with pytest.raises(CrossCheckError, match=pcg_digest(pcg)) as info:
+            verify(pcg, lhv_cap=0)
+        assert str(values) in str(info.value)
