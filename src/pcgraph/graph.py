@@ -335,15 +335,13 @@ def census(d: int, n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int,
     size, top = d ** k, n - k
     ones = (1 << size) - 1
     # last[m] marks x_m = d - 1.  XOR with itself moved down d^m marks x_m = d - 1
-    # under x_(m+1) = d - 2 and d - 1; moves by whole periods d^(m+1) fill the rest.
+    # under x_(m+1) = d - 2 and d - 1; moves by even numbers of periods d^(m+1) fill the rest.
     last = [ones ^ (1 << size - size // d) - 1] if k else []
     for m in range(k - 2, -1, -1):
-        t = last[0] ^ last[0] >> d ** m
-        covered = 2
-        while covered < d:
-            t |= t >> covered * d ** (m + 1)
-            covered *= 2
-        last.insert(0, t)
+        pair = last[0] ^ last[0] >> d ** m
+        last.insert(0, pair)
+        for j in range(2, d, 2):
+            last[0] |= pair >> j * d ** (m + 1)
 
     def rotate(tables: list[int], m: int, sign: int) -> list[int]:
         # the tables of a support with digit m added (sign 1) or taken out (sign -1)
@@ -397,20 +395,22 @@ def census(d: int, n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int,
     first = None
 
     def walk(depth: int, h: int, acc: int) -> None:
+        # acc holds the groups ready at depth; a child is entered if its own leave any bit
         nonlocal satisfying, first
-        for fields, merged in ready[depth]:
-            acc &= merged[(h & fields).bit_count() % d]
-            if not acc:
-                return
         if depth == top:
             satisfying += acc.bit_count()
             if first is None:
                 first = sum((h >> i & unary[-1]).bit_count() * size * d ** i for i in range(top))
                 first += (acc & -acc).bit_length() - 1
             return
-        depth += 1
-        for step in steps[depth - 1]:
-            walk(depth, h | step, acc)
+        for step in steps[depth]:
+            child, sub = h | step, acc
+            for fields, merged in ready[depth + 1]:
+                sub &= merged[(child & fields).bit_count() % d]
+                if not sub:
+                    break
+            else:
+                walk(depth + 1, child, sub)
 
     if invariant:
         walk(0, 0, invariant)

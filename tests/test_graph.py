@@ -1,7 +1,10 @@
+import ast
+import inspect
 import pickle
 import random
 import sys
 import tracemalloc
+import types
 from collections import Counter
 
 import pytest
@@ -289,13 +292,18 @@ def test_census_hoisting_matches_oracles(monkeypatch, pcg):
 def census_instances(draw):
     d = draw(st.integers(2, 6))
     n = draw(st.integers(1, max(1, {2: 10, 3: 6, 4: 5, 5: 4, 6: 4}[d])))
-    constraints = draw(st.lists(
-        st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, d - 1)), max_size=6))
+    full = (1 << n) - 1
+    # masks near full as often as near empty, so supports are built both by
+    # adding digits and by taking them out of a larger support
+    mask = st.integers(0, full) | st.integers(0, full).map(lambda m: full ^ (m & m >> 1))
+    constraints = draw(st.lists(st.tuples(mask, st.integers(0, d - 1)), max_size=6))
     return d, n, constraints
 
 
 @settings(max_examples=300, deadline=None)
 @given(census_instances(), st.sampled_from([1, 2, 3, graph.CENSUS_BLOCK_BITS]))
+@example((3, 3, [(0b111, 1), (0b110, 2)]), graph.CENSUS_BLOCK_BITS)  # a digit taken out
+@example((5, 4, [(0b1111, 1), (0b1101, 3), (0b0010, 4)]), 2)  # blocks of one assignment
 def test_census_matches_product_count(instance, block_bits):
     # any linear constraints mod d, with blocks of 2^1..2^3 assignments so
     # the walk spans many blocks, or one block where it fits
@@ -306,10 +314,6 @@ def test_census_matches_product_count(instance, block_bits):
 
 
 def test_census_and_its_callers_never_name_the_rank_route_or_the_states():
-    import ast
-    import inspect
-    import types
-
     from pcgraph import gf2, states
 
     def defined_in(module) -> set[str]:
