@@ -329,7 +329,7 @@ def census(d: int, n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int,
     largest value with d^(2k - n) <= 2^6, k <= n and d^k <= 2^CENSUS_BLOCK_BITS:
     k = 3, 4, 4, 4, 5 for the qudit family at d = 3..7, 15 for d = 2 at n = 24.
     """
-    k = min(n, CENSUS_BLOCK_BITS)  # d >= 2, so d^k <= 2^CENSUS_BLOCK_BITS needs no more
+    k = min(n, CENSUS_BLOCK_BITS)  # d >= 2, so the cap alone keeps k <= CENSUS_BLOCK_BITS
     while d ** k > 1 << CENSUS_BLOCK_BITS or d ** (2 * k) > d ** n << 6:
         k -= 1
     size, top = d ** k, n - k
@@ -362,14 +362,15 @@ def census(d: int, n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int,
                 odd ^= last[(rest & -rest).bit_length() - 1]
                 rest &= rest - 1
             by_low[low] = [ones ^ odd, odd]
-    for low in sorted(supports, key=int.bit_count, reverse=True) if d > 2 else ():
-        base = min(by_low, key=lambda built: (built ^ low).bit_count())
-        tables = by_low[base]
-        for rest, sign in ((low & ~base, 1), (base & ~low, -1)):
-            while rest:
-                tables = rotate(tables, (rest & -rest).bit_length() - 1, sign)
-                rest &= rest - 1
-        by_low[low] = tables
+    else:
+        for low in sorted(supports, key=int.bit_count, reverse=True):
+            base = min(by_low, key=lambda built: (built ^ low).bit_count())
+            tables = by_low[base]
+            for rest, sign in ((low & ~base, 1), (base & ~low, -1)):
+                while rest:
+                    tables = rotate(tables, (rest & -rest).bit_length() - 1, sign)
+                    rest &= rest - 1
+            by_low[low] = tables
     invariant = ones  # AND of the constraints with no high digit: the same in every block
     by_high: dict[int, list[int]] = {}  # high support -> merged tables indexed by s_H
     for mask, c in constraints:
