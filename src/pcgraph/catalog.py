@@ -91,7 +91,6 @@ def map_four_regions_pcg() -> PCG:
 class PpsCheck:
     sites: tuple[int, int]
     sign: int
-    expected_magnitude: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class Expected:
     success_probability: float | None = None
     basis: str = "X"
     valid_pcg: bool = True
-    note: str = ""
 
 
 @dataclass(frozen=True)

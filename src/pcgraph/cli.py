@@ -20,7 +20,7 @@ from .errors import (
     StateConditionError,
 )
 from .fileio import PcgFile, dump_pcg_file, indented_json, load_pcg_file, to_dot, to_json_dict
-from .graph import DEFAULT_CENSUS_CAP, MAX_CENSUS_CAP, validate
+from .graph import DEFAULT_CENSUS_CAP, MAX_CENSUS_CAP, is_colorable, validate
 from .search import classify, enumerate_pcgs
 from .states import (
     MAX_SHOTS,
@@ -130,8 +130,6 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     # colorability is purely combinatorial, so no full-validity gate here;
     # `validate` and `verify` enforce the structural rules
-    from .graph import is_colorable
-
     instance = load_pcg_file(args.file)
     result = is_colorable(instance.pcg)
     payload = {

@@ -25,7 +25,6 @@ class PcgFile:
     """Parsed instance: graph plus the state parameters."""
 
     pcg: PCG
-    d: int = 2
     alpha: complex = 1.0
     b_terms: tuple[BTerm, ...] = ()
 
@@ -114,11 +113,11 @@ def from_json_dict(data) -> PcgFile:
         pcg = PCG(n, tuple(edges))
     except ValueError as exc:
         raise PcgFileError(str(exc)) from None
-    return PcgFile(pcg=pcg, d=d, alpha=alpha, b_terms=tuple(b_terms))
+    return PcgFile(pcg=pcg, alpha=alpha, b_terms=tuple(b_terms))
 
 
 def to_json_dict(instance: PcgFile) -> dict:
-    out: dict = {**instance.pcg.to_json_dict(), "d": instance.d}
+    out: dict = {**instance.pcg.to_json_dict(), "d": 2}  # files hold qubit instances only
     alpha = instance.alpha
     if alpha.imag == 0.0 and alpha.real >= 0.0:
         out["alpha"] = {"magnitude": alpha.real}

@@ -10,7 +10,8 @@ Bit convention used throughout: b_v = (1 - C(v)) / 2, so green is 0 and
 red is 1, and the game becomes the parity system A.b = Theta over GF(2),
 where A is the edge/vertex incidence matrix and Theta_i = 1 iff
 theta_i = +1.  Column j of A is vertex j+1; assignment integers place
-vertex 1 in the least significant bit.
+vertex 1 in the least significant bit, as in every vertex mask; the one
+converter each way is :func:`site_mask` and :func:`mask_vertices`.
 """
 from __future__ import annotations
 
@@ -54,10 +55,7 @@ class SignedEdge:
         """Bit v-1 set for each vertex v; built once, on first use rather than
         at construction, so a graph can reject an out-of-range vertex first."""
         if self._mask is None:
-            m = 0
-            for v in self.vertices:
-                m |= 1 << (v - 1)
-            object.__setattr__(self, "_mask", m)
+            object.__setattr__(self, "_mask", site_mask(self.vertices))
         return self._mask
 
     @property
@@ -174,28 +172,28 @@ class IrreducibilityResult:
     witness: tuple[SignedEdge, ...] | None = None
 
 
-def nested_pairs(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(i, j) for each edge mask i contained in edge mask j, in order of i then j.
+def nested_pairs(edges: Sequence[SignedEdge]) -> Iterator[tuple[int, int]]:
+    """(i, j) for each edge i whose vertices lie in edge j, in order of i then j.
 
-    Equal masks are reported once, with i < j; none means an antichain.
-    Masks are indexed by vertex: a mask containing mask i contains each
-    of i's vertices, so mask i is tested only against the masks through
-    its least-used vertex (against every mask if it is empty).
+    Equal vertex sets are reported once, with i < j; none means an
+    antichain.  Edges are indexed by vertex: an edge containing edge i
+    contains each of i's vertices, so edge i is tested only against the
+    edges through its least-used vertex.
     """
-    through: dict[int, list[int]] = {}  # vertex -> indices of the masks containing it
-    vertex_lists = [mask_vertices(m) for m in masks]
-    for j, vertices in enumerate(vertex_lists):
-        for v in vertices:
+    through: dict[int, list[int]] = {}  # vertex -> indices of the edges containing it
+    for j, e in enumerate(edges):
+        for v in e.vertices:
             if v in through:
                 through[v].append(j)
             else:
                 through[v] = [j]
-    everything = range(len(masks))
-    for i, mi in enumerate(masks):
-        candidates = everything
-        for v in vertex_lists[i]:
+    masks = [e.mask for e in edges]
+    for i, e in enumerate(edges):
+        candidates = through[e.vertices[0]]
+        for v in e.vertices:
             if len(through[v]) < len(candidates):
                 candidates = through[v]
+        mi = masks[i]
         for j in candidates:
             mj = masks[j]
             if mi & mj == mi and j != i and (mj != mi or j > i):
@@ -215,6 +213,14 @@ def components(masks: Iterable[int]) -> list[int]:
         apart.append(m)
         parts = apart
     return parts
+
+
+def site_mask(sites: Iterable[int]) -> int:
+    """Mask with bit v-1 set for every listed 1-based vertex or site v."""
+    mask = 0
+    for v in sites:
+        mask |= 1 << v
+    return mask >> 1
 
 
 def mask_vertices(mask: int) -> list[int]:
@@ -237,8 +243,7 @@ def validate(pcg: PCG) -> ValidationReport:
                 f"edge #{i} {set(e.vertices)} has size {e.size}, need 1 <= size < {pcg.n}",
                 (i,),
             ))
-    masks = [e.mask for e in pcg.edges]
-    for i, j in nested_pairs(masks):
+    for i, j in nested_pairs(pcg.edges):
         violations.append(Violation(
             "nested-edges",
             f"edge #{i} {set(pcg.edges[i].vertices)} is contained in "
@@ -247,7 +252,7 @@ def validate(pcg: PCG) -> ValidationReport:
         ))
     # Connected with no isolated sub-structures: every vertex covered and
     # the edge hypergraph forms a single component.
-    parts = components(masks)
+    parts = components(e.mask for e in pcg.edges)
     covered = 0
     for part in parts:
         covered |= part
@@ -273,16 +278,15 @@ def require_valid(pcg: PCG) -> None:
 
 
 def _reduce_hardy_system(pcg: PCG) -> tuple[list[int], list[int]]:
-    """Rows ``e.mask | theta_bit << n | 1 << (n + 1 + i)`` reduced on the n vertex columns.
+    """Rows ``e.mask | theta_bit << n`` reduced on the n vertex columns, with the pivots.
 
     Pivot rows give rank(A) and, through back substitution, the coloring
-    with free variables green.
-    The other rows, shifted right by n, span the left kernel {y : y A = 0}
-    with bit 0 = y.Theta and bit i + 1 = y_i; an odd y is a proof that
-    the edges it selects cannot all be satisfied.
+    with free variables green.  The other rows vanished on the vertex
+    columns, so each holds only its theta bit: the graph is colorable
+    iff all of them are 0.
     """
     n = pcg.n
-    rows = [e.mask | e.theta_bit << n | 1 << (n + 1 + i) for i, e in enumerate(pcg.edges)]
+    rows = [e.mask | e.theta_bit << n for e in pcg.edges]
     return rows, eliminate(rows, n)
 
 
@@ -295,8 +299,7 @@ def is_colorable(pcg: PCG) -> ColorabilityResult:
     """
     rows, pivots = _reduce_hardy_system(pcg)
     rank_a = len(pivots)
-    theta_bit = 1 << pcg.n
-    if any(row & theta_bit for row in rows[rank_a:]):
+    if any(rows[rank_a:]):
         return ColorabilityResult(False, rank_a, rank_a + 1, None)
     bits = back_substitute(rows, pivots, pcg.n)
     return ColorabilityResult(True, rank_a, rank_a, Coloring.from_bits(bits, pcg.n))
@@ -438,21 +441,20 @@ def irreducibility_status(pcg: PCG) -> str:
     Returns "not_applicable" for a colorable graph, else "irreducible"
     or "reducible".  Irreducible means no proper sub-list of edges is
     already un-colorable and every vertex is constrained by some edge.
-    The rows ``e.mask | theta_bit << n`` are reduced on the vertex
-    columns, with no row tags; the graph is colorable iff no row that
-    vanished kept its theta bit.  The proofs of un-colorability are the
-    odd vectors y of the left kernel K = {y : y A = 0}, and no edge can
-    be dropped iff the only odd y selects every edge.  Any other nonzero
-    y in K, or its sum with that all-ones proof, would be an odd y that
-    misses an edge, so this holds iff K = {0, all-ones}: rank A = p - 1
-    and every vertex lies on an even number of edges (the XOR of the
-    edge masks is 0).  The argument needs no domain rule, so it holds
-    for any edge list, duplicates and p = 0 included.
+    The reduction is :func:`is_colorable`'s, with no row tags; the
+    graph is colorable iff no row that vanished kept its theta bit.  The
+    proofs of un-colorability are the odd vectors y of the left kernel
+    K = {y : y A = 0}, and no edge can be dropped iff the only odd y
+    selects every edge.  Any other nonzero y in K, or its sum with that
+    all-ones proof, would be an odd y that misses an edge, so this holds
+    iff K = {0, all-ones}: rank A = p - 1 and every vertex lies on an
+    even number of edges (the XOR of the edge masks is 0).  The argument
+    needs no domain rule, so it holds for any edge list, duplicates and
+    p = 0 included.
     """
-    n = pcg.n
-    rows = [e.mask | e.theta_bit << n for e in pcg.edges]
-    rank = len(eliminate(rows, n))
-    if not any(rows[rank:]):  # a vanished row holds only its theta bit
+    rows, pivots = _reduce_hardy_system(pcg)
+    rank = len(pivots)
+    if not any(rows[rank:]):
         return "not_applicable"
     if rank != len(rows) - 1:
         return "reducible"
@@ -461,7 +463,7 @@ def irreducibility_status(pcg: PCG) -> str:
         m = e.mask
         parity ^= m
         covered |= m
-    return "irreducible" if not parity and covered == (1 << n) - 1 else "reducible"
+    return "irreducible" if not parity and covered == (1 << pcg.n) - 1 else "reducible"
 
 
 def is_irreducible(pcg: PCG) -> IrreducibilityResult:
@@ -478,8 +480,11 @@ def is_irreducible(pcg: PCG) -> IrreducibilityResult:
     status = irreducibility_status(pcg)
     if status != "reducible":
         return IrreducibilityResult(status)
-    rows, pivots = _reduce_hardy_system(pcg)
-    proofs = [row >> pcg.n for row in rows[len(pivots):]]
+    # With row i tagged by bit n + 1 + i, the rows that vanish, shifted right by n,
+    # span the left kernel {y : y A = 0} with bit 0 = y.Theta and bit i + 1 = y_i.
+    n = pcg.n
+    rows = [e.mask | e.theta_bit << n | 1 << (n + 1 + i) for i, e in enumerate(pcg.edges)]
+    proofs = [row >> n for row in rows[len(eliminate(rows, n)):]]
     keep = []
     for i, e in enumerate(pcg.edges):
         bit = 2 << i

@@ -7,7 +7,7 @@ from itertools import permutations
 from typing import Iterable
 
 from .errors import ResourceLimitError
-from .graph import PCG, SignedEdge, components, irreducibility_status
+from .graph import PCG, SignedEdge, components, irreducibility_status, mask_vertices
 
 MAX_N = 6
 MAX_EDGES = 12
@@ -189,7 +189,7 @@ def enumerate_pcgs(n: int, max_edges: int, sizes: Iterable[int] | None = None) -
         for size in allowed - {1}:
             forms |= _forms_led_by(n, universe, apart, size, max_edges)
     edges = {
-        (mask, theta): SignedEdge(tuple(v + 1 for v in range(n) if mask >> v & 1), theta)
+        (mask, theta): SignedEdge(tuple(mask_vertices(mask)), theta)
         for mask, theta in {e for _, form_edges in forms for e in form_edges}
     }
     return [PCG(n, tuple(map(edges.__getitem__, form_edges))) for _, form_edges in sorted(forms)]

@@ -5,6 +5,7 @@ amplitudes.  A key holds site v's digit at place d^(v-1), so a qubit
 key has bit v-1 set iff site v reads 1 and an edge's vertex mask is the
 key of its pattern.  The encoded states have at most p + 1 + |B-terms|
 nonzero amplitudes, so hundreds of sites need no dense 2^n vector.
+Qubit keys and site masks come from ``graph.site_mask``.
 Digit strings (site 1 first) appear only at the boundary, through
 ``parse_key`` and ``render_key``; output sorts by the digit string,
 which is not the integer order.
@@ -27,7 +28,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CrossCheckError, ResourceLimitError, StateConditionError
-from .graph import PCG
+from .graph import PCG, site_mask
 
 NORM_TOL = 1e-9
 PRUNE_TOL = 1e-15
@@ -37,14 +38,6 @@ MAX_SHOTS = 10**6
 def omega(d: int) -> complex:
     """Primitive d-th root of unity exp(2 pi i / d)."""
     return cmath.exp(2j * math.pi / d)
-
-
-def site_mask(sites: Iterable[int]) -> int:
-    """Qubit key with bit v-1 set for every listed 1-based site v."""
-    mask = 0
-    for v in sites:
-        mask |= 1 << v
-    return mask >> 1
 
 
 def parse_key(text: str, n: int, d: int) -> int:

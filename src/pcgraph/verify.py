@@ -29,6 +29,7 @@ from typing import Sequence
 from .errors import CrossCheckError, ResourceLimitError
 from .graph import (
     DEFAULT_CENSUS_CAP,
+    MAX_CENSUS_CAP,
     PCG,
     Coloring,
     brute_force_colorings,
@@ -36,14 +37,15 @@ from .graph import (
     is_colorable,
     mask_vertices,
     require_valid,
+    site_mask,
 )
 from .states import (
     BTerm,
+    _matching_mask,
     build_qudit_family,
     build_state,
     joint_z_probability,
     project_z,
-    site_mask,
     x_product_distribution,
 )
 
@@ -184,13 +186,16 @@ def verify(
     """Produce the full certificate for one instance.
 
     Raises :class:`PcgValidationError` for structurally invalid graphs,
-    :class:`ValueError` unless ``0 <= tolerance < 1``, and
+    :class:`ValueError` unless ``0 <= tolerance < 1``,
+    :class:`ResourceLimitError` if ``lhv_cap`` exceeds ``MAX_CENSUS_CAP``, and
     :class:`CrossCheckError`, naming the instance digest, if a colorable
     verdict's witness violates an edge or the census does not count
     exactly 2^(n - rank A) colorings (none if un-colorable): a bug, not
     a property of the instance.
     """
     _check_tolerance(tolerance)
+    if lhv_cap > MAX_CENSUS_CAP:  # refused whether or not this n would reach the census
+        raise ResourceLimitError(f"census cap {lhv_cap} exceeds the ceiling of {MAX_CENSUS_CAP}")
     require_valid(pcg)
     b_terms = tuple(b_terms)
     digest = pcg_digest(pcg)
@@ -231,11 +236,10 @@ def verify(
             probability=dist[e.theta_bit],  # power 1 is eigenvalue -1
         ))
 
-    union_complements = mask_vertices(union_mask)
-    simulated = joint_z_probability(state, union_complements, 0)
+    simulated = sum(abs(a) ** 2 for a in _matching_mask(state, union_mask, 0).values())
     formula = abs(alpha) ** 2 / (pcg.p + 1)
     success = SuccessRecord(
-        sites=tuple(union_complements),
+        sites=tuple(mask_vertices(union_mask)),
         simulated=simulated,
         formula=formula,
         formula_applicable=_success_formula_applicable(pcg, b_terms),

@@ -393,6 +393,19 @@ def test_lhv_cap_at_ceiling_exit_0_and_above_exit_1(capsys, psi_file):
     assert "ceiling" in err and "Traceback" not in err
 
 
+def test_lhv_cap_above_ceiling_exit_1_on_a_file_past_the_cap(capsys, tmp_path):
+    from pcgraph.catalog import loop_pcg
+    from pcgraph.fileio import PcgFile, dump_pcg_file
+
+    path = str(tmp_path / "loop40.json")
+    dump_pcg_file(PcgFile(loop_pcg(40)), path)
+    code, out, err = run(capsys, "verify", path, "--lhv-cap", "35")
+    assert code == 1 and out == ""
+    assert err == "error: census cap 35 exceeds the ceiling of 30\n"
+    code, out, _ = run(capsys, "verify", path, "--lhv-cap", "30", "--json")
+    assert code == 0 and json.loads(out)["lhv_census"] == {"skipped": True}
+
+
 def test_search_workers_below_one_exit_1(capsys):
     # search runs in one process and has no --workers option at all
     code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "2")

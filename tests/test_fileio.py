@@ -29,6 +29,7 @@ def test_round_trip_identity_for_catalog_entries(tmp_path):
         instance = PcgFile(pcg=entry.pcg, alpha=complex(entry.alpha), b_terms=entry.b_terms)
         path = tmp_path / f"{entry_id}.json"
         dump_pcg_file(instance, path)
+        assert json.loads(path.read_text())["d"] == 2
         loaded = load_pcg_file(path)
         assert loaded.pcg == instance.pcg
         if instance.pcg.n <= 6:  # canonical minimization is factorial in n

@@ -24,6 +24,7 @@ from pcgraph import (
     validate,
 )
 from pcgraph import graph
+from pcgraph.gf2 import eliminate as graph_eliminate
 from pcgraph.graph import MAX_CENSUS_CAP, census, mask_vertices, nested_pairs
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
@@ -35,6 +36,7 @@ from _oracles import (
     pairwise_nested_pairs,
     product_census,
     random_valid_pcg,
+    span_rank,
     truth_table_census,
 )
 
@@ -108,25 +110,49 @@ def _random_masks(rng: random.Random, uniform: bool) -> list[int]:
     return masks
 
 
+def _edges(masks):
+    return [SignedEdge(tuple(mask_vertices(m)), 1) for m in masks]
+
+
 @pytest.mark.parametrize("uniform", [True, False], ids=["one-size", "mixed-sizes"])
 def test_nested_pairs_matches_pairwise_oracle(uniform):
     rng = random.Random(41 + uniform)
     for _ in range(4000):
         masks = _random_masks(rng, uniform)
-        assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks)), masks
-
-
-def test_nested_pairs_with_empty_masks():
-    # an empty mask has no vertex to index by, and lies inside every mask
-    masks = [0, 0b11, 0, 0b1, 0b11]
-    assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks))
+        assert list(nested_pairs(_edges(masks))) == list(pairwise_nested_pairs(masks)), masks
 
 
 def test_nested_pairs_on_wide_one_size_lists():
     masks = [0b11 << i for i in range(300)] + [0b11 << 7, 0b11 << 299, 0b11 << 7]
-    assert list(nested_pairs(masks)) == [(7, 300), (7, 302), (299, 301), (300, 302)]
+    assert list(nested_pairs(_edges(masks))) == [(7, 300), (7, 302), (299, 301), (300, 302)]
     masks.append(0b111 << 7)
-    assert list(nested_pairs(masks)) == list(pairwise_nested_pairs(masks))
+    assert list(nested_pairs(_edges(masks))) == list(pairwise_nested_pairs(masks))
+
+
+def test_validate_reads_edge_vertices_without_converting_masks(monkeypatch):
+    calls = Counter()
+
+    def counted(mask):
+        calls["mask_vertices"] += 1
+        return mask_vertices(mask)
+
+    monkeypatch.setattr(graph, "mask_vertices", counted)
+    assert validate(loop_pcg(200)).ok
+    assert calls["mask_vertices"] == 0
+
+
+def test_is_colorable_reduces_rows_of_at_most_n_plus_one_bits(monkeypatch):
+    widths = []
+
+    def spied(rows, cols):
+        widths.extend(row.bit_length() - cols for row in rows)
+        return graph_eliminate(rows, cols)
+
+    monkeypatch.setattr(graph, "eliminate", spied)
+    for pcg in (loop_pcg(200), magic_m9_pcg(), triangle_pcg()):
+        widths.clear()
+        is_colorable(pcg)
+        assert len(widths) == pcg.p and max(widths) <= 1
 
 
 def test_validate_lists_uncovered_vertices_and_components_past_64():
@@ -537,7 +563,10 @@ def test_rank_criterion_agrees_with_census_randomized():
         decision = is_colorable(pcg)
         census = brute_force_colorings(pcg)
         assert decision.colorable == (census.satisfying > 0)
-        if not decision.colorable:
+        assert decision.rank_a == span_rank([e.mask for e in pcg.edges])
+        if decision.colorable:
+            assert decision.witness == census.first_witness  # free variables green: the least solution
+        else:
             assert decision.rank_b == decision.rank_a + 1
 
 

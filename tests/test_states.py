@@ -21,6 +21,7 @@ from pcgraph import (
     x_product_distribution,
 )
 from pcgraph.catalog import loop_pcg, triangle_pcg
+from pcgraph.graph import mask_vertices
 from pcgraph.states import site_mask
 
 from _oracles import (
@@ -42,6 +43,10 @@ def test_site_mask_sets_each_listed_site_once():
     assert site_mask([]) == 0
     assert site_mask([3, 1, 3]) == site_mask((1, 3)) == site_mask(iter([3, 1])) == 0b101
     assert site_mask(range(1, 201)) == (1 << 200) - 1
+    for sites in ([], [1], [2, 4, 201], list(range(1, 201)), [64, 65, 128]):
+        assert mask_vertices(site_mask(sites)) == sites
+    for mask in (0, 1, 0b1010, (1 << 200) | 1, (1 << 64) - 1):
+        assert site_mask(mask_vertices(mask)) == mask
 
 
 def test_minimal_state_amplitudes():

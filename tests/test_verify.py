@@ -12,6 +12,7 @@ from pcgraph import (
     Coloring,
     ColoringCensus,
     PcgValidationError,
+    ResourceLimitError,
     classify,
     enumerate_pcgs,
     pcg_digest,
@@ -94,6 +95,16 @@ def test_census_skipped_above_cap():
     assert cert.to_json_dict()["lhv_census"] == {"skipped": True}
 
 
+def test_lhv_cap_above_ceiling_refused_even_where_the_census_is_skipped(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done despite the ceiling")
+
+    monkeypatch.setattr(verify_mod, "require_valid", no_work)
+    for pcg in (loop_pcg(40), triangle_pcg()):
+        with pytest.raises(ResourceLimitError, match="census cap 31 exceeds the ceiling of 30"):
+            verify(pcg, lhv_cap=graph.MAX_CENSUS_CAP + 1)
+
+
 def test_global_phase_invariance():
     base = verify(triangle_pcg(), SQ2, [BTerm((1, 2, 3), 1.0)])
     for phi in (0.3, 1.7, 4.1):
@@ -156,7 +167,7 @@ def test_wide_loops_certify_as_paradoxes(pcg):
 @pytest.mark.parametrize("pcg", [triangle_pcg(), loop_pcg(40), odd_red_loop_pcg(41), magic_m9_pcg()],
                          ids=["triangle", "loop", "odd-red", "magic-m9"])
 def test_hardy_loop_conditions_and_measures_once_per_edge(monkeypatch, pcg):
-    calls = {"project_z": 0, "x_product_distribution": 0}
+    calls = {"project_z": 0, "x_product_distribution": 0, "joint_z_probability": 0}
 
     def spy(name):
         real = getattr(verify_mod, name)
@@ -170,7 +181,7 @@ def test_hardy_loop_conditions_and_measures_once_per_edge(monkeypatch, pcg):
     for name in calls:
         monkeypatch.setattr(verify_mod, name, spy(name))
     cert = verify(pcg)
-    assert calls == {"project_z": pcg.p, "x_product_distribution": pcg.p}
+    assert calls == {"project_z": pcg.p, "x_product_distribution": pcg.p, "joint_z_probability": 0}
     assert len(cert.hardy_checks) == pcg.p
 
 
