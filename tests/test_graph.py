@@ -23,8 +23,7 @@ from pcgraph import (
     is_irreducible,
     validate,
 )
-from pcgraph import graph
-from pcgraph.gf2 import eliminate as graph_eliminate
+from pcgraph import gf2, graph
 from pcgraph.graph import MAX_CENSUS_CAP, census, mask_vertices, nested_pairs
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
@@ -146,7 +145,7 @@ def test_is_colorable_reduces_rows_of_at_most_n_plus_one_bits(monkeypatch):
 
     def spied(rows, cols):
         widths.extend(row.bit_length() - cols for row in rows)
-        return graph_eliminate(rows, cols)
+        return gf2.eliminate(rows, cols)
 
     monkeypatch.setattr(graph, "eliminate", spied)
     for pcg in (loop_pcg(200), magic_m9_pcg(), triangle_pcg()):
