@@ -6,6 +6,7 @@ the full verification stack.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -87,6 +88,13 @@ def map_four_regions_pcg() -> PCG:
     return from_adjacency_map(4, list(combinations(range(1, 5), 2)))
 
 
+def _integer(name: str, value) -> int:
+    """An integer parameter; a float must be integral (so finite): 5.0 reads as 5."""
+    if isinstance(value, float) and not value.is_integer():
+        raise CatalogKeyError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PpsCheck:
     sites: tuple[int, int]
@@ -114,7 +122,6 @@ class Expected:
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
-    kind: str  # "pcg" | "qudit" | "pps"
     description: str
     params: dict = field(default_factory=dict)
     pcg: PCG | None = None
@@ -124,24 +131,29 @@ class CatalogEntry:
     pps: PpsFixture | None = None
     expected: Expected = Expected()
 
+    @property
+    def kind(self) -> str:
+        """"pcg", "qudit" or "pps": which of ``pcg``, ``qudit_d`` and ``pps`` is set."""
+        if self.pcg is not None:
+            return "pcg"
+        return "qudit" if self.qudit_d is not None else "pps"
 
-def _entry_minimal_triangle(params: Mapping) -> CatalogEntry:
+
+def _entry_minimal_triangle() -> CatalogEntry:
     return CatalogEntry(
         id="minimal-triangle",
-        kind="pcg",
         description="All-red triangle; the minimal three-qubit pigeonhole instance.",
         pcg=triangle_pcg(+1),
         expected=Expected(colorable=False, paradox=True, success_probability=0.25),
     )
 
 
-def _entry_minimal_psi(params: Mapping) -> CatalogEntry:
-    alpha = complex(params.get("alpha", 1 / math.sqrt(2)))
+def _entry_minimal_psi(alpha: complex = 1 / math.sqrt(2)) -> CatalogEntry:
+    alpha = complex(alpha)
     if not 0 < abs(alpha) < 1:
         raise CatalogKeyError("minimal-psi needs 0 < |alpha| < 1")
     return CatalogEntry(
         id="minimal-psi",
-        kind="pcg",
         description="Triangle state mixed with an orthogonal |111> component.",
         params={"alpha": alpha},
         pcg=triangle_pcg(+1),
@@ -153,10 +165,9 @@ def _entry_minimal_psi(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_minimal_variant_y(params: Mapping) -> CatalogEntry:
+def _entry_minimal_variant_y() -> CatalogEntry:
     return CatalogEntry(
         id="minimal-variant-y",
-        kind="pcg",
         description=(
             "All-green triangle (all plus signs).  Colorable, so the X-box "
             "criterion finds no paradox, yet Y-basis products conditioned on "
@@ -170,13 +181,12 @@ def _entry_minimal_variant_y(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_loop(params: Mapping) -> CatalogEntry:
-    n = int(params.get("n", 5))
+def _entry_loop(n: int = 5) -> CatalogEntry:
+    n = _integer("n", n)
     if not 3 <= n <= 64:
         raise CatalogKeyError("loop supports 3 <= n <= 64")
     return CatalogEntry(
         id="loop",
-        kind="pcg",
         description="Mixed-sign loop; success probability 1/(n+1) beats 1/2^(n-1).",
         params={"n": n},
         pcg=loop_pcg(n),
@@ -186,13 +196,12 @@ def _entry_loop(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_odd_loop_red(params: Mapping) -> CatalogEntry:
-    n = int(params.get("n", 3))
+def _entry_odd_loop_red(n: int = 3) -> CatalogEntry:
+    n = _integer("n", n)
     if not (3 <= n <= 63 and n % 2 == 1):
         raise CatalogKeyError("odd-loop-red supports odd 3 <= n <= 63")
     return CatalogEntry(
         id="odd-loop-red",
-        kind="pcg",
         description="All-red odd loop; un-colorable because the cycle parity sums to 1.",
         params={"n": n},
         pcg=odd_red_loop_pcg(n),
@@ -202,50 +211,45 @@ def _entry_odd_loop_red(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_magic_m4(params: Mapping) -> CatalogEntry:
+def _entry_magic_m4() -> CatalogEntry:
     return CatalogEntry(
         id="magic-m4",
-        kind="pcg",
         description="2x2 binary magic square: all six pair products forced to -1.",
         pcg=magic_m4_pcg(),
         expected=Expected(colorable=False, paradox=True, success_probability=1 / 7),
     )
 
 
-def _entry_magic_m9(params: Mapping) -> CatalogEntry:
+def _entry_magic_m9() -> CatalogEntry:
     return CatalogEntry(
         id="magic-m9",
-        kind="pcg",
         description="3x3 binary magic square: rows, columns, diagonals; consistent.",
         pcg=magic_m9_pcg(),
         expected=Expected(colorable=True, paradox=False, success_probability=1 / 9),
     )
 
 
-def _entry_magic_m9_tilde(params: Mapping) -> CatalogEntry:
+def _entry_magic_m9_tilde() -> CatalogEntry:
     return CatalogEntry(
         id="magic-m9-tilde",
-        kind="pcg",
         description="3x3 magic square plus the corner constraint {1,3,7,9}; impossible.",
         pcg=magic_m9_pcg(extended=True),
         expected=Expected(colorable=False, paradox=True, success_probability=1 / 10),
     )
 
 
-def _entry_magic_m16(params: Mapping) -> CatalogEntry:
+def _entry_magic_m16() -> CatalogEntry:
     return CatalogEntry(
         id="magic-m16",
-        kind="pcg",
         description="4x4 binary magic square: rows, columns, diagonals; consistent.",
         pcg=magic_m16_pcg(),
         expected=Expected(colorable=True, paradox=False, success_probability=1 / 11),
     )
 
 
-def _entry_magic_m16_tilde(params: Mapping) -> CatalogEntry:
+def _entry_magic_m16_tilde() -> CatalogEntry:
     return CatalogEntry(
         id="magic-m16-tilde",
-        kind="pcg",
         description=(
             "4x4 magic square plus the diagonal-union constraint; classically "
             "impossible (rank criterion and census agree).  Not a valid PCG: "
@@ -260,20 +264,18 @@ def _entry_magic_m16_tilde(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_magic_m8(params: Mapping) -> CatalogEntry:
+def _entry_magic_m8() -> CatalogEntry:
     return CatalogEntry(
         id="magic-m8",
-        kind="pcg",
         description="2x2x2 binary magic cube: all 28 pair products forced to -1.",
         pcg=magic_m8_pcg(),
         expected=Expected(colorable=False, paradox=True, success_probability=1 / 29),
     )
 
 
-def _entry_map_four_regions(params: Mapping) -> CatalogEntry:
+def _entry_map_four_regions() -> CatalogEntry:
     return CatalogEntry(
         id="map-four-regions",
-        kind="pcg",
         description=(
             "Map with four mutually adjacent regions.  The quantum certainties "
             "force a proper 2-coloring of a map that needs four colors."
@@ -283,13 +285,12 @@ def _entry_map_four_regions(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_qudit(params: Mapping) -> CatalogEntry:
-    d = int(params.get("d", 3))
+def _entry_qudit(d: int = 3) -> CatalogEntry:
+    d = _integer("d", d)
     if not 2 <= d <= 7:
         raise CatalogKeyError("qudit supports 2 <= d <= 7")
     return CatalogEntry(
         id="qudit",
-        kind="qudit",
         description="(d+1) qudits, d boxes: every leave-one-out product is omega.",
         params={"d": d},
         qudit_d=d,
@@ -299,10 +300,9 @@ def _entry_qudit(params: Mapping) -> CatalogEntry:
     )
 
 
-def _entry_pps_three_qubit(params: Mapping) -> CatalogEntry:
+def _entry_pps_three_qubit() -> CatalogEntry:
     return CatalogEntry(
         id="pps-three-qubit",
-        kind="pps",
         description=(
             "Pre/post-selected three-qubit ensemble |+-->  ->  |010>.  The "
             "vanishing projector amplitudes pin every pair's Y-product, and "
@@ -321,7 +321,7 @@ def _entry_pps_three_qubit(params: Mapping) -> CatalogEntry:
     )
 
 
-_REGISTRY: dict[str, Callable[[Mapping], CatalogEntry]] = {
+_REGISTRY: dict[str, Callable[..., CatalogEntry]] = {
     "minimal-triangle": _entry_minimal_triangle,
     "minimal-psi": _entry_minimal_psi,
     "minimal-variant-y": _entry_minimal_variant_y,
@@ -344,11 +344,16 @@ def catalog_ids() -> list[str]:
 
 
 def get(entry_id: str, params: Mapping | None = None) -> CatalogEntry:
-    """Resolve a catalog entry; unknown ids raise :class:`CatalogKeyError`."""
+    """Resolve a catalog entry; unknown ids, parameter names and values raise
+    :class:`CatalogKeyError`."""
     try:
         factory = _REGISTRY[entry_id]
     except KeyError:
         raise CatalogKeyError(
             f"unknown catalog id {entry_id!r}; known: {', '.join(_REGISTRY)}"
         ) from None
-    return factory(params or {})
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(inspect.signature(factory).parameters))
+    if unknown:
+        raise CatalogKeyError(f"{entry_id} takes no parameter(s) {unknown}")
+    return factory(**params)

@@ -45,28 +45,20 @@ def _emit(payload: dict, as_json: bool, human: Callable[[], str]) -> None:
     print(indented_json(payload) if as_json else human())
 
 
-def _parse_outcome(value_text: str, d: int, where: str) -> int:
-    """Normalize an outcome spelling to a digit.
+def _parse_outcome(value_text: str, where: str) -> int:
+    """Normalize a qubit outcome spelling to a digit.
 
-    For qubits the spellings +1/1 mean digit 0 (the Z = +1 eigenstate),
-    -1 means digit 1, and a bare 0 also means digit 0.  For d > 2
-    outcomes are plain digits.
+    The spellings +1/1 mean digit 0 (the Z = +1 eigenstate), -1 means
+    digit 1, and a bare 0 also means digit 0.
     """
+    mapping = {"+1": 0, "1": 0, "0": 0, "-1": 1}
     value_text = value_text.strip()
-    if d == 2:
-        mapping = {"+1": 0, "1": 0, "0": 0, "-1": 1}
-        if value_text not in mapping:
-            raise PcgFileError(
-                f"{where}: qubit outcomes are +1/1/0 (digit 0) or -1 (digit 1)"
-            )
-        return mapping[value_text]
-    try:
-        return int(value_text)
-    except ValueError:
-        raise PcgFileError(f"{where}: expected a digit below {d}") from None
+    if value_text not in mapping:
+        raise PcgFileError(f"{where}: qubit outcomes are +1/1/0 (digit 0) or -1 (digit 1)")
+    return mapping[value_text]
 
 
-def _parse_condition(spec: str, d: int) -> dict[int, int]:
+def _parse_condition(spec: str) -> dict[int, int]:
     """Parse "Z1=1,Z3=-1" into a site->digit map."""
     assignment: dict[int, int] = {}
     for chunk in spec.split(","):
@@ -82,7 +74,7 @@ def _parse_condition(spec: str, d: int) -> dict[int, int]:
             raise PcgFileError(f"condition {part!r}: bad site index") from None
         if site in assignment:
             raise PcgFileError(f"condition {part!r}: site {site} listed twice")
-        assignment[site] = _parse_outcome(value_text, d, f"condition {part!r}")
+        assignment[site] = _parse_outcome(value_text, f"condition {part!r}")
     return assignment
 
 
@@ -165,11 +157,10 @@ def cmd_simulate(args) -> int:
             lines.append(f"P(condition) = {payload['condition']['probability']:.12g}")
         if "post_state" in payload:
             return "\n".join(lines + ["conditioned state is empty"])
-        if "distribution" in payload:
-            label = {0: "+1", 1: "-1"} if state.d == 2 else {}
+        if "distribution" in payload:  # instance files hold qubits, so powers 0 and 1
             for power, prob in payload["distribution"].items():
-                name = label.get(int(power), f"omega^{power}")
-                lines.append(f"P({letter} product over {sites} = {name}) = {prob:.12g}")
+                sign = "-1" if power == "1" else "+1"
+                lines.append(f"P({letter} product over {sites} = {sign}) = {prob:.12g}")
         if "joint_probability" in payload:
             lines.append(f"P(all Z sites {sites} -> digit {digit}) = "
                          f"{payload['joint_probability']:.12g}")
@@ -183,7 +174,7 @@ def cmd_simulate(args) -> int:
         return "\n".join(lines)
 
     if args.condition:
-        assignment = _parse_condition(args.condition, state.d)
+        assignment = _parse_condition(args.condition)
         prob, post = project_z(state, assignment)
         payload["condition"] = {
             "assignment": {str(k): v for k, v in sorted(assignment.items())},
@@ -202,7 +193,7 @@ def cmd_simulate(args) -> int:
         else:
             digit = 0
             if outcome is not None:
-                digit = _parse_outcome(outcome, state.d, f"observable outcome {outcome!r}")
+                digit = _parse_outcome(outcome, f"observable outcome {outcome!r}")
             payload["joint_probability"] = joint_z_probability(state, sites, digit)
     elif not args.condition:
         payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in state.listing()}
@@ -233,8 +224,7 @@ def _certificate_text(cert) -> str:
         )
     lines.append(
         f"success: P(Z=+1 on {set(cert.success.sites)}) = {cert.success.simulated:.12g} "
-        f"(formula {cert.success.formula:.12g}, "
-        f"{'applicable' if cert.success.formula_applicable else 'not applicable'})"
+        f"(formula {cert.success.formula:.12g}, applicable)"
     )
     verdict = cert.verdict.upper() if cert.verdict == "paradox" else cert.verdict
     lines.append(f"verdict: {verdict}" + (f" ({cert.reason})" if cert.reason else ""))

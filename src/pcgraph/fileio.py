@@ -6,10 +6,11 @@ fail loudly instead of silently changing the instance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import PcgFileError
 from .graph import PCG, SignedEdge
@@ -43,8 +44,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _is_finite(value) -> bool:
+    """A finite JSON number; ``json.loads`` also yields NaN, ±Infinity and
+    integers too large for a float."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _parse_complex(obj, where: str, allow_magnitude: bool = False) -> complex:
@@ -52,14 +58,33 @@ def _parse_complex(obj, where: str, allow_magnitude: bool = False) -> complex:
         raise PcgFileError(f"{where}: expected an object with re/im fields")
     if allow_magnitude and set(obj) == {"magnitude"}:
         mag = obj["magnitude"]
-        if not _is_number(mag):
-            raise PcgFileError(f"{where}.magnitude: expected a number")
+        if not _is_finite(mag):
+            raise PcgFileError(f"{where}.magnitude: expected a finite number")
         return complex(mag)
     _require_keys(obj, {"re", "im"}, {"re", "im"}, where)
     re, im = obj["re"], obj["im"]
-    if not _is_number(re) or not _is_number(im):
-        raise PcgFileError(f"{where}: re/im must be numbers")
+    if not _is_finite(re) or not _is_finite(im):
+        raise PcgFileError(f"{where}: re/im must be finite numbers")
     return complex(re, im)
+
+
+def _vertex_items(
+    data: Mapping, field: str, value_key: str
+) -> Iterator[tuple[str, tuple, object]]:
+    """(where, vertices, value) for each object of the list ``data[field]`` (none if absent),
+    each with exactly the keys ``vertices`` (a list of integers) and ``value_key``."""
+    items = data.get(field, [])
+    if not isinstance(items, list):
+        raise PcgFileError(f"{field}: expected a list")
+    for i, item in enumerate(items):
+        where = f"{field}[{i}]"
+        if not isinstance(item, dict):
+            raise PcgFileError(f"{where}: expected an object")
+        _require_keys(item, {"vertices", value_key}, {"vertices", value_key}, where)
+        verts = item["vertices"]
+        if not isinstance(verts, list) or not all(map(_is_int, verts)):
+            raise PcgFileError(f"{where}.vertices: expected a list of integers")
+        yield where, tuple(verts), item[value_key]
 
 
 def from_json_dict(data) -> PcgFile:
@@ -72,43 +97,24 @@ def from_json_dict(data) -> PcgFile:
     if n > MAX_FILE_N:
         raise PcgFileError(f"n: {n} exceeds the ceiling of {MAX_FILE_N} vertices")
     d = data.get("d", 2)
-    if not _is_int(d) or d < 2:
-        raise PcgFileError("d: expected an integer >= 2")
-    if d != 2:
+    if not _is_int(d) or d != 2:
         raise PcgFileError(
             "d: only qubit instances (d = 2) have a file representation; "
             "the qudit family is available through the catalog"
         )
-    if not isinstance(data["edges"], list):
-        raise PcgFileError("edges: expected a list")
     edges = []
-    for i, item in enumerate(data["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise PcgFileError(f"{where}: expected an object")
-        _require_keys(item, {"vertices", "theta"}, {"vertices", "theta"}, where)
-        verts = item["vertices"]
-        if not isinstance(verts, list) or not all(map(_is_int, verts)):
-            raise PcgFileError(f"{where}.vertices: expected a list of integers")
-        if not _is_int(item["theta"]) or item["theta"] not in (1, -1):
+    for where, verts, theta in _vertex_items(data, "edges", "theta"):
+        if not _is_int(theta) or theta not in (1, -1):
             raise PcgFileError(f"{where}.theta: expected 1 or -1")
         try:
-            edges.append(SignedEdge(tuple(verts), item["theta"]))
+            edges.append(SignedEdge(verts, theta))
         except ValueError as exc:
             raise PcgFileError(f"{where}: {exc}") from None
     alpha = 1.0 + 0j
     if "alpha" in data:
         alpha = _parse_complex(data["alpha"], "alpha", allow_magnitude=True)
-    b_terms = []
-    for i, item in enumerate(data.get("b_terms", [])):
-        where = f"b_terms[{i}]"
-        if not isinstance(item, dict):
-            raise PcgFileError(f"{where}: expected an object")
-        _require_keys(item, {"vertices", "lambda"}, {"vertices", "lambda"}, where)
-        verts = item["vertices"]
-        if not isinstance(verts, list) or not all(map(_is_int, verts)):
-            raise PcgFileError(f"{where}.vertices: expected a list of integers")
-        b_terms.append(BTerm(tuple(verts), _parse_complex(item["lambda"], f"{where}.lambda")))
+    b_terms = [BTerm(verts, _parse_complex(lam, f"{where}.lambda"))
+               for where, verts, lam in _vertex_items(data, "b_terms", "lambda")]
     try:
         pcg = PCG(n, tuple(edges))
     except ValueError as exc:

@@ -176,15 +176,18 @@ def build_state(pcg: PCG, alpha: complex = 1.0, b_terms: Sequence[BTerm] = ()) -
     """
     a = complex(alpha)
     mag = abs(a)
-    if mag < PRUNE_TOL:
-        raise StateConditionError("alpha must be nonzero")
+    scale = a / math.sqrt(pcg.p + 1)
+    if not abs(scale) >= PRUNE_TOL:  # the graph component would be pruned (or is NaN)
+        raise StateConditionError(
+            f"|alpha|/sqrt(p+1) = {abs(scale)} is below {PRUNE_TOL}, so the state "
+            "would keep no graph component"
+        )
     if mag > 1 + NORM_TOL:
         raise StateConditionError(f"|alpha| = {mag} exceeds 1")
     b_terms = tuple(b_terms)
     if not b_terms and abs(mag - 1.0) > NORM_TOL:
         raise StateConditionError("|alpha| < 1 needs b-terms to complete the state")
     _check_b_terms(pcg, b_terms)
-    scale = a / math.sqrt(pcg.p + 1)
     amps: dict[int, complex] = {0: scale}
     for e in pcg.edges:
         if e.mask in amps:

@@ -37,7 +37,6 @@ from .graph import (
     is_colorable,
     mask_vertices,
     require_valid,
-    site_mask,
 )
 from .states import (
     BTerm,
@@ -90,14 +89,20 @@ class SuccessRecord:
     sites: tuple[int, ...]
     simulated: float
     formula: float
-    formula_applicable: bool
+
+    @property
+    def formula_applicable(self) -> bool:
+        """Always true: the success event keeps only keys inside every edge, and
+        no edge (a valid graph has p >= 2 and no nested or equal edges) nor
+        b-term (``build_state`` refuses one inside an edge) lies there."""
+        return True
 
     def to_json_dict(self) -> dict:
         return {
             "sites": list(self.sites),
             "simulated": self.simulated,
             "formula": self.formula,
-            "formula_applicable": self.formula_applicable,
+            "formula_applicable": True,
         }
 
 
@@ -152,23 +157,6 @@ class ParadoxCertificate:
         }
 
 
-def _success_formula_applicable(pcg: PCG, b_terms: Sequence[BTerm]) -> bool:
-    # The |alpha|^2/(p+1) value holds iff only the all-zero component
-    # survives conditioning on Z=+1 over the union of edge complements,
-    # i.e. no edge pattern and no b-term pattern fits inside the
-    # intersection of all edges.
-    inter = (1 << pcg.n) - 1
-    for e in pcg.edges:
-        inter &= e.mask
-    for e in pcg.edges:
-        if e.mask | inter == inter:
-            return False
-    for t in b_terms:
-        if site_mask(t.vertices) | inter == inter:
-            return False
-    return True
-
-
 def _check_tolerance(tolerance: float) -> None:
     # NaN fails every comparison, and a tolerance of 1 or more would count
     # probability 0 as certain.
@@ -189,9 +177,10 @@ def verify(
     :class:`ValueError` unless ``0 <= tolerance < 1``,
     :class:`ResourceLimitError` if ``lhv_cap`` exceeds ``MAX_CENSUS_CAP``, and
     :class:`CrossCheckError`, naming the instance digest, if a colorable
-    verdict's witness violates an edge or the census does not count
-    exactly 2^(n - rank A) colorings (none if un-colorable): a bug, not
-    a property of the instance.
+    verdict's witness violates an edge, the census does not count
+    exactly 2^(n - rank A) colorings (none if un-colorable), or the
+    simulated success differs from |alpha|^2/(p+1) by more than a
+    relative 1e-12: a bug, not a property of the instance.
     """
     _check_tolerance(tolerance)
     if lhv_cap > MAX_CENSUS_CAP:  # refused whether or not this n would reach the census
@@ -238,11 +227,17 @@ def verify(
 
     simulated = sum(abs(a) ** 2 for a in _matching_mask(state, union_mask, 0).values())
     formula = abs(alpha) ** 2 / (pcg.p + 1)
+    # only key 0 survives (SuccessRecord.formula_applicable) and build_state
+    # keeps it, so the two agree to rounding and both are positive
+    if abs(simulated - formula) > 1e-12 * formula:
+        raise CrossCheckError(
+            f"instance {digest}: simulated success {simulated!r} differs from "
+            f"|alpha|^2/(p+1) = {formula!r}"
+        )
     success = SuccessRecord(
         sites=tuple(mask_vertices(union_mask)),
         simulated=simulated,
         formula=formula,
-        formula_applicable=_success_formula_applicable(pcg, b_terms),
     )
 
     # an un-colorable verdict that got this far has a census of 0 or none
@@ -251,8 +246,6 @@ def verify(
         verdict, reason = "no_paradox", "colorable"
     elif not hardy_certain:
         verdict, reason = "no_paradox", "hardy-check-not-certain"
-    elif simulated <= 0.0:
-        verdict, reason = "no_paradox", "zero-success-probability"
     else:
         verdict, reason = "paradox", None
 

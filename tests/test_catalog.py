@@ -39,6 +39,14 @@ def test_unknown_id_and_bad_params():
         catalog_get("qudit", {"d": 9})
     with pytest.raises(CatalogKeyError):
         catalog_get("minimal-psi", {"alpha": 1.0})
+    for value in (5.9, math.inf, math.nan):
+        with pytest.raises(CatalogKeyError, match="n must be an integer"):
+            catalog_get("loop", {"n": value})
+    with pytest.raises(CatalogKeyError, match=r"takes no parameter\(s\) \['zzz'\]"):
+        catalog_get("magic-m4", {"zzz": 3})
+    with pytest.raises(CatalogKeyError, match=r"\['n'\]"):
+        catalog_get("qudit", {"n": 3})
+    assert catalog_get("loop", {"n": 5.0}) == catalog_get("loop", {"n": 5})
 
 
 def test_entries_are_deterministic():
@@ -125,6 +133,12 @@ def test_variant_y_entry_restores_paradox_in_y_basis():
     assert abs(
         verify(entry.pcg).success.simulated - entry.expected.success_probability
     ) < 1e-9
+
+
+def test_kind_follows_the_payload():
+    kinds = {entry_id: catalog_get(entry_id).kind for entry_id in catalog_ids()}
+    assert kinds.pop("qudit") == "qudit" and kinds.pop("pps-three-qubit") == "pps"
+    assert set(kinds.values()) == {"pcg"}
 
 
 def test_qudit_entry():

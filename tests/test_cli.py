@@ -89,6 +89,8 @@ def test_check_json_witness(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["colorable"] is True
     assert payload["witness"] == [1, -1, 1]
+    assert run(capsys, "check", str(path)) == (0, "colorable (rank A = 2, rank [A|Theta] = 2)\n"
+                                                  "witness coloring (vertex 1..n): G R G\n", "")
 
 
 def test_simulate_conditional_distribution(capsys, psi_file):
@@ -127,7 +129,10 @@ def test_simulate_condition_spellings(capsys, psi_file):
     (["--condition", "Z1=-1,Z2=-1,Z3=-1", "--observable", "X:2,3"],
      "P(condition) = 0\nconditioned state is empty\n"),
     (["--observable", "Z:1,2=-1"], "P(all Z sites [1, 2] -> digit 1) = 0.25\n"),
-], ids=["state", "condition-x", "empty-condition", "joint-z"])
+    (["--observable", "X:1,2", "--shots", "5", "--seed", "1"],
+     "P(X product over [1, 2] = +1) = 0.5\nP(X product over [1, 2] = -1) = 0.5\n"
+     "sampled counts (5 shots): {'000': 1, '011': 2, '110': 2}\n"),
+], ids=["state", "condition-x", "empty-condition", "joint-z", "x-shots"])
 def test_simulate_text_lines(capsys, triangle_file, args, expected):
     assert run(capsys, "simulate", triangle_file, *args)[:2] == (0, expected)
 
@@ -481,3 +486,108 @@ def test_import_does_not_load_numpy():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _triangle_with(tmp_path, name, text):
+    """An all-red triangle file with extra top-level fields, spelled as raw JSON."""
+    path = tmp_path / name
+    path.write_text('{"n": 3, "edges": [{"vertices": [2, 3], "theta": 1}, '
+                    '{"vertices": [1, 3], "theta": 1}, {"vertices": [1, 2], "theta": 1}]'
+                    + text + "}")
+    return str(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (', "b_terms": null', "error: b_terms: expected a list\n"),
+    (', "b_terms": 5', "error: b_terms: expected a list\n"),
+    (', "b_terms": true', "error: b_terms: expected a list\n"),
+    (', "b_terms": 1.5', "error: b_terms: expected a list\n"),
+    (', "alpha": {"magnitude": NaN}', "error: alpha.magnitude: expected a finite number\n"),
+    (', "alpha": {"magnitude": Infinity}', "error: alpha.magnitude: expected a finite number\n"),
+    (', "alpha": {"re": -Infinity, "im": 0}', "error: alpha: re/im must be finite numbers\n"),
+    (', "alpha": {"magnitude": 0.5}, "b_terms": [{"vertices": [1, 2, 3], '
+     '"lambda": {"re": NaN, "im": 0}}]', "error: b_terms[0].lambda: re/im must be finite numbers\n"),
+], ids=["b-null", "b-5", "b-true", "b-1.5", "alpha-nan", "alpha-inf", "re-neg-inf", "lambda-nan"])
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_malformed_numbers_and_lists_exit_1_with_one_line(capsys, tmp_path, command, text, message):
+    path = _triangle_with(tmp_path, "bad.json", text)
+    assert run(capsys, command, path) == (1, "", message)
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_alpha_that_prunes_the_graph_component_exit_2(capsys, tmp_path, command):
+    path = _triangle_with(tmp_path, "tiny.json", ', "alpha": {"magnitude": 1e-15}, "b_terms": '
+                          '[{"vertices": [1, 2, 3], "lambda": {"re": 1.0, "im": 0.0}}]')
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("validation failure: |alpha|/sqrt(p+1) = 5e-16 is below 1e-15")
+
+
+def test_success_off_the_formula_exits_3(capsys, monkeypatch, psi_file):
+    verify_mod = sys.modules["pcgraph.verify"]
+    matching = verify_mod._matching_mask
+
+    def skewed(state, mask, want):
+        return {k: a * math.sqrt(1 + 1e-9) for k, a in matching(state, mask, want).items()}
+
+    monkeypatch.setattr(verify_mod, "_matching_mask", skewed)
+    code, out, err = run(capsys, "verify", psi_file)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("internal cross-check divergence: instance ")
+    assert "simulated success" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["loop", "--params", "n=1e400"], "error: n must be an integer, got inf\n"),
+    (["loop", "--params", "n=5.9"], "error: n must be an integer, got 5.9\n"),
+    (["magic-m4", "--params", "zzz=3"], "error: magic-m4 takes no parameter(s) ['zzz']\n"),
+    (["loop", "--params", "n"], "error: --params entry 'n': expected key=value\n"),
+    (["loop", "--params", "n=five"], "error: --params 'n=five': value must be a number\n"),
+], ids=["overflow", "fraction", "unknown-name", "no-value", "not-a-number"])
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_bad_catalog_params_exit_1_with_one_line(capsys, action, argv, message):
+    assert run(capsys, "catalog", action, *argv) == (1, "", message)
+
+
+def test_integral_float_catalog_param_reads_as_integer(capsys):
+    assert run(capsys, "catalog", "show", "loop", "--params", "n=5.0") == \
+        run(capsys, "catalog", "show", "loop", "--params", "n=5")
+
+
+@pytest.mark.parametrize("sizes", ["2-3", "a..b", "2..3..4"])
+def test_bad_sizes_exit_1_with_one_line(capsys, sizes):
+    assert run(capsys, "search", "--n", "4", "--max-edges", "3", "--sizes", sizes) == (
+        1, "", f"error: --sizes {sizes!r}: expected a..b\n")
+
+
+def test_verify_text_with_the_census_skipped(capsys, psi_file):
+    code, out, _ = run(capsys, "verify", psi_file, "--lhv-cap", "0")
+    assert code == 0
+    assert out.splitlines()[2] == "classical census: skipped (over cap)"
+    assert "(formula 0.125, applicable)" in out and out.endswith("verdict: PARADOX\n")
+
+
+def test_catalog_show_qudit_and_pps(capsys):
+    code, out, _ = run(capsys, "catalog", "show", "qudit", "--params", "d=4")
+    payload = json.loads(out)
+    assert code == 0 and (payload["kind"], payload["d"], payload["params"]) == ("qudit", 4, {"d": 4})
+    assert "pcg" not in payload and "pps" not in payload
+    code, out, _ = run(capsys, "catalog", "show", "pps-three-qubit")
+    payload = json.loads(out)
+    assert code == 0 and payload["kind"] == "pps" and "d" not in payload
+    assert payload["pps"] == {"pre": "+--", "post": "010", "checks": [
+        {"sites": [1, 2], "sign": 1}, {"sites": [1, 3], "sign": -1}, {"sites": [2, 3], "sign": -1}]}
+
+
+def test_catalog_export_to_stdout_matches_the_file(capsys, tmp_path):
+    path = tmp_path / "psi.json"
+    assert run(capsys, "catalog", "export", "minimal-psi", "-o", str(path)) == (0, "", "")
+    assert run(capsys, "catalog", "export", "minimal-psi") == (0, path.read_text(), "")
+
+
+def test_export_dot_to_a_file_matches_stdout(capsys, triangle_file, tmp_path):
+    path = tmp_path / "tri.dot"
+    code, dot, _ = run(capsys, "export", triangle_file, "--dot")
+    assert code == 0 and dot.startswith("graph pcg {")
+    assert run(capsys, "export", triangle_file, "--dot", "-o", str(path)) == (0, "", "")
+    assert path.read_text() == dot

@@ -96,6 +96,32 @@ def test_booleans_rejected_where_numbers_are_expected(slot, data):
         from_json_dict(data)
 
 
+@pytest.mark.parametrize("field", ["edges", "b_terms"])
+@pytest.mark.parametrize("value", [None, 5, True, 1.5, {"vertices": [1, 2]}])
+def test_vertex_lists_must_be_lists(field, value):
+    with pytest.raises(PcgFileError, match=f"^{field}: expected a list$"):
+        from_json_dict({**BOOL_BASE, field: value})
+
+
+@pytest.mark.parametrize("slot, alpha, lam", [
+    (r"alpha\.magnitude", {"magnitude": math.nan}, None),
+    (r"alpha\.magnitude", {"magnitude": math.inf}, None),
+    (r"alpha\.magnitude", {"magnitude": 10 ** 400}, None),
+    ("alpha:", {"re": -math.inf, "im": 0.0}, None),
+    ("alpha:", {"re": 0.5, "im": math.nan}, None),
+    (r"b_terms\[0\]\.lambda", {"magnitude": 0.5}, {"re": math.nan, "im": 0.0}),
+    (r"b_terms\[0\]\.lambda", {"magnitude": 0.5}, {"re": 1.0, "im": -10 ** 400}),
+], ids=["magnitude-nan", "magnitude-inf", "magnitude-huge-int", "re-neg-inf", "im-nan",
+        "lambda-nan", "lambda-huge-int"])
+def test_non_finite_numbers_rejected(slot, alpha, lam):
+    # json.loads reads NaN, Infinity and -Infinity, and integers of any size
+    data = {**BOOL_BASE, "alpha": alpha}
+    if lam is not None:
+        data["b_terms"] = [{"vertices": [1, 2, 3], "lambda": lam}]
+    with pytest.raises(PcgFileError, match=f"^{slot}.*finite"):
+        from_json_dict(json.loads(json.dumps(data)))
+
+
 def test_qudit_dimension_rejected_in_files():
     with pytest.raises(PcgFileError, match="catalog"):
         from_json_dict({"n": 3, "d": 3, "edges": [{"vertices": [1, 2], "theta": 1}]})

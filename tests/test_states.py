@@ -86,6 +86,19 @@ def test_alpha_preconditions():
         build_state(triangle_pcg(), 0.5)  # missing b-terms
 
 
+def test_alpha_that_prunes_the_graph_component_is_refused():
+    # p = 3, so every graph amplitude is alpha/2; under PRUNE_TOL it would be
+    # pruned and the state would hold the b-terms alone
+    from pcgraph.states import PRUNE_TOL
+
+    b_terms = [BTerm((1, 2, 3), 1.0)]
+    for alpha in (1e-15, 1.9e-15, 0.0, math.nan):
+        with pytest.raises(StateConditionError, match="no graph component"):
+            build_state(triangle_pcg(), alpha, b_terms)
+    state = build_state(triangle_pcg(), 2 * PRUNE_TOL, b_terms)
+    assert state.amplitudes[0] == PRUNE_TOL and len(state.amplitudes) == 5
+
+
 def test_b_term_conditions_report_offender():
     with pytest.raises(StateConditionError, match=r"#0.*edge #2"):
         build_state(triangle_pcg(), SQ2, [BTerm((1, 2), 1.0)])

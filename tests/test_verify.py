@@ -392,6 +392,32 @@ def test_channels_agree_on_seeded_enumerated_forms_with_b_terms():
     assert verdicts == {"paradox", "no_paradox"} and applicable > 0
 
 
+def test_success_off_the_formula_raises_cross_check_error(monkeypatch):
+    # every valid instance keeps only key 0 in the success event, so the
+    # simulated value is |alpha|^2/(p+1) to rounding; a drift of 1e-9 is a bug
+    pcg, b_terms = triangle_pcg(), [BTerm((1, 2, 3), 1.0)]
+    matching = verify_mod._matching_mask
+
+    def skewed(state, mask, want):
+        return {k: a * math.sqrt(1 + 1e-9) for k, a in matching(state, mask, want).items()}
+
+    monkeypatch.setattr(verify_mod, "_matching_mask", skewed)
+    with pytest.raises(CrossCheckError, match=pcg_digest(pcg)) as info:
+        verify(pcg, SQ2, b_terms)
+    assert "simulated success" in str(info.value) and "|alpha|^2/(p+1)" in str(info.value)
+
+
+def test_smallest_alpha_that_keeps_the_graph_component():
+    from pcgraph import StateConditionError
+
+    b_terms = [BTerm((1, 2, 3), 1.0)]
+    with pytest.raises(StateConditionError, match="no graph component"):
+        verify(triangle_pcg(), 1e-15, b_terms)
+    cert = verify(triangle_pcg(), 2e-15, b_terms)
+    assert cert.verdict == "paradox" and cert.success.formula_applicable
+    assert 0 < cert.success.simulated == pytest.approx(cert.success.formula, rel=1e-12)
+
+
 def _colorable_pcg() -> PCG:
     return triangle_pcg(-1)  # a green triangle: 2 of its 8 colorings satisfy it
 
