@@ -554,6 +554,27 @@ def test_integral_float_catalog_param_reads_as_integer(capsys):
         run(capsys, "catalog", "show", "loop", "--params", "n=5")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--condition", "Z1=2"], "condition 'Z1=2': qubit outcomes are +1/1/0 (digit 0) or -1 (digit 1)"),
+    (["--condition", "X1=1"], "condition 'X1=1': expected Z<site>=<outcome>"),
+    (["--condition", "Za=1"], "condition 'Za=1': bad site index"),
+    (["--condition", "Z1=1,,Z1=-1"], "condition 'Z1=-1': site 1 listed twice"),
+    (["--observable", "X1,2"], "observable 'X1,2': expected LETTER:site,site,..."),
+    (["--observable", "W:1,2"], "observable 'W:1,2': letter must be X, Y, or Z"),
+    (["--observable", "X:1,2=+1"], "only Z observables take an =outcome suffix"),
+    (["--observable", "X:1,b"], "observable 'X:1,b': bad site list"),
+    (["--observable", "X:,"], "observable 'X:,': empty site list"),
+], ids=["outcome", "letter", "site", "twice", "no-colon", "observable-letter", "x-outcome",
+        "site-list", "empty-sites"])
+def test_bad_condition_and_observable_exit_1_with_one_line(capsys, triangle_file, argv, message):
+    assert run(capsys, "simulate", triangle_file, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_export_without_a_format_exit_1(capsys, triangle_file):
+    assert run(capsys, "export", triangle_file) == (
+        1, "", "error: export currently supports --dot only\n")
+
+
 @pytest.mark.parametrize("sizes", ["2-3", "a..b", "2..3..4"])
 def test_bad_sizes_exit_1_with_one_line(capsys, sizes):
     assert run(capsys, "search", "--n", "4", "--max-edges", "3", "--sizes", sizes) == (

@@ -65,6 +65,14 @@ def test_schema_errors_name_the_field():
         from_json_dict({"n": 0, "edges": []})
     with pytest.raises(PcgFileError, match="exceeds vertex count"):
         from_json_dict({"n": 2, "edges": [{"vertices": [1, 5], "theta": 1}]})
+    with pytest.raises(PcgFileError, match=r"^edges\[0\]: missing field\(s\) \['theta'\]$"):
+        from_json_dict({"n": 3, "edges": [{"vertices": [1, 2]}]})
+    with pytest.raises(PcgFileError, match=r"^edges\[0\]: edge \(1, 1\) repeats a vertex$"):
+        from_json_dict({"n": 3, "edges": [{"vertices": [1, 1], "theta": 1}]})
+    with pytest.raises(PcgFileError, match=r"^b_terms\[0\]: expected an object$"):
+        from_json_dict({"n": 3, "edges": [], "b_terms": [[1, 2, 3]]})
+    with pytest.raises(PcgFileError, match="^top level: expected a JSON object$"):
+        from_json_dict([{"n": 3, "edges": []}])
 
 
 BOOL_BASE = {"n": 3, "edges": [{"vertices": [1, 2], "theta": 1},

@@ -22,7 +22,7 @@ from pcgraph import (
 )
 from pcgraph.catalog import loop_pcg, triangle_pcg
 from pcgraph.graph import mask_vertices
-from pcgraph.states import site_mask
+from pcgraph.states import PRUNE_TOL, site_mask
 
 from _oracles import (
     dense_product_distribution,
@@ -89,8 +89,6 @@ def test_alpha_preconditions():
 def test_alpha_that_prunes_the_graph_component_is_refused():
     # p = 3, so every graph amplitude is alpha/2; under PRUNE_TOL it would be
     # pruned and the state would hold the b-terms alone
-    from pcgraph.states import PRUNE_TOL
-
     b_terms = [BTerm((1, 2, 3), 1.0)]
     for alpha in (1e-15, 1.9e-15, 0.0, math.nan):
         with pytest.raises(StateConditionError, match="no graph component"):

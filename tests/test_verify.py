@@ -13,6 +13,7 @@ from pcgraph import (
     ColoringCensus,
     PcgValidationError,
     ResourceLimitError,
+    StateConditionError,
     classify,
     enumerate_pcgs,
     pcg_digest,
@@ -408,8 +409,6 @@ def test_success_off_the_formula_raises_cross_check_error(monkeypatch):
 
 
 def test_smallest_alpha_that_keeps_the_graph_component():
-    from pcgraph import StateConditionError
-
     b_terms = [BTerm((1, 2, 3), 1.0)]
     with pytest.raises(StateConditionError, match="no graph component"):
         verify(triangle_pcg(), 1e-15, b_terms)
