@@ -30,7 +30,7 @@ from .states import (
     sample_counts,
     x_product_distribution,
 )
-from .verify import MAX_TABLE_N, PROBABILITY_TOL, SIMULATE_UP_TO, success_table, verify
+from .verify import MAX_TABLE_N, SIMULATE_UP_TO, success_table, verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +98,12 @@ def _parse_observable(spec: str) -> tuple[str, list[int], str | None]:
         raise PcgFileError(f"observable {text!r}: bad site list") from None
     if not sites:
         raise PcgFileError(f"observable {text!r}: empty site list")
+    # the kernels count each site once, but a repeated Pauli factor cancels
+    seen: set[int] = set()
+    for site in sites:
+        if site in seen:
+            raise PcgFileError(f"observable {text!r}: site {site} listed twice")
+        seen.add(site)
     return letter, sites, outcome
 
 
@@ -197,7 +203,7 @@ def cmd_simulate(args) -> int:
             payload["joint_probability"] = joint_z_probability(state, sites, digit)
     elif not args.condition:
         payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in state.listing()}
-    if args.shots:
+    if args.shots is not None:
         counts = sample_counts(state, args.shots, args.seed)
         payload["sampled_counts"] = dict(sorted(counts.items()))
     _emit(payload, args.json, human)
@@ -233,13 +239,7 @@ def _certificate_text(cert) -> str:
 
 def cmd_verify(args) -> int:
     instance = load_pcg_file(args.file)
-    cert = verify(
-        instance.pcg,
-        instance.alpha,
-        instance.b_terms,
-        lhv_cap=args.lhv_cap,
-        tolerance=args.tolerance,
-    )
+    cert = verify(instance.pcg, instance.alpha, instance.b_terms, lhv_cap=args.lhv_cap)
     _emit(cert.to_json_dict(), args.json, lambda: _certificate_text(cert))
     return 0
 
@@ -287,6 +287,8 @@ def _parse_params(pairs: Sequence[str]) -> dict:
         if "=" not in pair:
             raise CatalogKeyError(f"--params entry {pair!r}: expected key=value")
         key, value = pair.split("=", 1)
+        if key in params:
+            raise CatalogKeyError(f"--params {pair!r}: key {key!r} listed twice")
         try:
             params[key] = int(value)
         except ValueError:
@@ -389,10 +391,6 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--lhv-cap", type=int, default=DEFAULT_CENSUS_CAP, dest="lhv_cap",
                    help=f"largest n for the exhaustive classical census (at most {MAX_CENSUS_CAP})")
-    p.add_argument(
-        "--tolerance", type=float, default=PROBABILITY_TOL,
-        help="probability comparison tolerance"
-    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", parents=[common], help="success probability table")

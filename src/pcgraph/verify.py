@@ -10,13 +10,14 @@ instance:
 * quantum: exact simulation of the per-edge conditional certainties and
   of the success probability of the all-+1 Z event.
 
-The verdict is "paradox" only when every channel agrees: the constraint
-system is unsatisfiable classically while simulation certifies each
-constraint with probability 1 and the triggering event has positive
-probability.  Any disagreement between the algebraic and exhaustive
-routes, or a colorable verdict whose witness violates an edge, aborts
-certification with :class:`CrossCheckError` instead of emitting a
-certificate.
+The verdict comes from the ranks alone: "paradox" exactly when the
+constraint system is un-colorable.  In a valid instance every other
+channel is fixed by construction (each Hardy probability is 1, the
+success is |alpha|^2/(p+1), and the census counts 2^(n - rank A)
+colorings, or none), so each is checked against that value instead of
+deciding anything.  Any disagreement, or a colorable verdict whose
+witness violates an edge, aborts certification with
+:class:`CrossCheckError` instead of emitting a certificate.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import CrossCheckError, ResourceLimitError
 from .graph import (
@@ -48,11 +49,18 @@ from .states import (
     x_product_distribution,
 )
 
-PROBABILITY_TOL = 1e-9
+# Relative bound within which a simulated probability must equal the value
+# the construction fixes; a correct build misses it only by rounding.
+AGREEMENT_REL = 1e-12
 # Largest n of the success table; 2**n overflows a float at n = 1024.
 MAX_TABLE_N = 1000
 # The table re-derives the loop value by exact simulation up to this n.
 SIMULATE_UP_TO = 12
+
+
+def _agrees(value: float, expected: float) -> bool:
+    # written so that NaN disagrees
+    return abs(value - expected) <= AGREEMENT_REL * expected
 
 
 def _complex_dict(z: complex) -> dict[str, float]:
@@ -90,13 +98,6 @@ class SuccessRecord:
     simulated: float
     formula: float
 
-    @property
-    def formula_applicable(self) -> bool:
-        """Always true: the success event keeps only keys inside every edge, and
-        no edge (a valid graph has p >= 2 and no nested or equal edges) nor
-        b-term (``build_state`` refuses one inside an edge) lies there."""
-        return True
-
     def to_json_dict(self) -> dict:
         return {
             "sites": list(self.sites),
@@ -121,8 +122,14 @@ class ParadoxCertificate:
     census_satisfying: int | None
     hardy_checks: tuple[HardyCheck, ...]
     success: SuccessRecord
-    verdict: str  # "paradox" | "no_paradox"
-    reason: str | None
+
+    @property
+    def verdict(self) -> str:
+        return "no_paradox" if self.colorable else "paradox"
+
+    @property
+    def reason(self) -> str | None:
+        return "colorable" if self.colorable else None
 
     @property
     def census_skipped(self) -> bool:
@@ -157,32 +164,24 @@ class ParadoxCertificate:
         }
 
 
-def _check_tolerance(tolerance: float) -> None:
-    # NaN fails every comparison, and a tolerance of 1 or more would count
-    # probability 0 as certain.
-    if not 0 <= tolerance < 1:
-        raise ValueError(f"tolerance must satisfy 0 <= tolerance < 1, got {tolerance!r}")
-
-
 def verify(
     pcg: PCG,
     alpha: complex = 1.0,
     b_terms: Sequence[BTerm] = (),
     lhv_cap: int = DEFAULT_CENSUS_CAP,
-    tolerance: float = PROBABILITY_TOL,
 ) -> ParadoxCertificate:
     """Produce the full certificate for one instance.
 
+    The verdict is "paradox" exactly when the ranks say un-colorable.
     Raises :class:`PcgValidationError` for structurally invalid graphs,
-    :class:`ValueError` unless ``0 <= tolerance < 1``,
     :class:`ResourceLimitError` if ``lhv_cap`` exceeds ``MAX_CENSUS_CAP``, and
     :class:`CrossCheckError`, naming the instance digest, if a colorable
     verdict's witness violates an edge, the census does not count
-    exactly 2^(n - rank A) colorings (none if un-colorable), or the
-    simulated success differs from |alpha|^2/(p+1) by more than a
-    relative 1e-12: a bug, not a property of the instance.
+    exactly 2^(n - rank A) colorings (none if un-colorable), or a Hardy
+    probability differs from 1 or the simulated success from
+    |alpha|^2/(p+1) by more than a relative ``AGREEMENT_REL``: a bug,
+    not a property of the instance.
     """
-    _check_tolerance(tolerance)
     if lhv_cap > MAX_CENSUS_CAP:  # refused whether or not this n would reach the census
         raise ResourceLimitError(f"census cap {lhv_cap} exceeds the ceiling of {MAX_CENSUS_CAP}")
     require_valid(pcg)
@@ -217,19 +216,24 @@ def verify(
         complement = full ^ e.mask
         union_mask |= complement
         _, post = project_z(state, complement)
-        dist = x_product_distribution(post, e.vertices)
+        # the antichain and b-term rules leave (|0..0> - theta|e>)/sqrt(2)
+        probability = x_product_distribution(post, e.vertices)[e.theta_bit]  # power 1 is eigenvalue -1
+        if not _agrees(probability, 1.0):
+            raise CrossCheckError(f"instance {digest}: Hardy check on edge {list(e.vertices)} "
+                                  f"reads {probability!r}, not 1")
         checks.append(HardyCheck(
             edge=e.vertices,
             theta=e.theta,
             required=-e.theta,
-            probability=dist[e.theta_bit],  # power 1 is eigenvalue -1
+            probability=probability,
         ))
 
     simulated = sum(abs(a) ** 2 for a in _matching_mask(state, union_mask, 0).values())
     formula = abs(alpha) ** 2 / (pcg.p + 1)
-    # only key 0 survives (SuccessRecord.formula_applicable) and build_state
-    # keeps it, so the two agree to rounding and both are positive
-    if abs(simulated - formula) > 1e-12 * formula:
+    # only key 0 survives: no edge (a valid graph has p >= 2 and no nested or
+    # equal edges) nor b-term (build_state refuses one inside an edge) lies
+    # inside every edge, and build_state keeps key 0, so both are positive
+    if not _agrees(simulated, formula):
         raise CrossCheckError(
             f"instance {digest}: simulated success {simulated!r} differs from "
             f"|alpha|^2/(p+1) = {formula!r}"
@@ -239,15 +243,6 @@ def verify(
         simulated=simulated,
         formula=formula,
     )
-
-    # an un-colorable verdict that got this far has a census of 0 or none
-    hardy_certain = all(abs(c.probability - 1.0) <= tolerance for c in checks)
-    if decision.colorable:
-        verdict, reason = "no_paradox", "colorable"
-    elif not hardy_certain:
-        verdict, reason = "no_paradox", "hardy-check-not-certain"
-    else:
-        verdict, reason = "paradox", None
 
     return ParadoxCertificate(
         pcg_digest=digest,
@@ -263,8 +258,6 @@ def verify(
         census_satisfying=census_satisfying,
         hardy_checks=tuple(checks),
         success=success,
-        verdict=verdict,
-        reason=reason,
     )
 
 
@@ -292,8 +285,8 @@ def success_table(max_n: int) -> list[SuccessRow]:
     """Success-probability rows for n = 3..max_n.
 
     For n up to ``SIMULATE_UP_TO`` the loop value is re-derived by exact
-    simulation of the loop state and must agree with 1/(n+1) to 1e-9;
-    disagreement raises :class:`CrossCheckError`.
+    simulation of the loop state and must agree with 1/(n+1) to a relative
+    ``AGREEMENT_REL``; disagreement raises :class:`CrossCheckError`.
     """
     if max_n < 3:
         raise ValueError("max_n must be at least 3")
@@ -310,7 +303,7 @@ def success_table(max_n: int) -> list[SuccessRow]:
         if n <= SIMULATE_UP_TO:
             state = build_state(loop_pcg(n))
             simulated = joint_z_probability(state, range(1, n + 1), 0)
-            if abs(simulated - p_loop) > PROBABILITY_TOL:
+            if not _agrees(simulated, p_loop):
                 raise CrossCheckError(
                     f"simulated loop success {simulated} != closed form {p_loop} at n={n}"
                 )
@@ -328,7 +321,8 @@ class QuditCertificate:
     joint_formula: float
     census_total: int
     census_satisfying: int
-    verdict: str
+    # every other outcome raises CrossCheckError
+    verdict: ClassVar[str] = "paradox"
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,7 +337,7 @@ class QuditCertificate:
         }
 
 
-def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCertificate:
+def verify_qudit_family(d: int) -> QuditCertificate:
     """Certificate for the (d+1)-qudit pigeonhole instance.
 
     Checks that conditioning each site on Z=+1 pins the product of the
@@ -352,24 +346,31 @@ def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCert
     assignment of omega-powers satisfies all the constraints at once:
     :func:`census` counts, over all d^(d+1) assignments, those whose
     powers at every site but j sum to 1 mod d for every site j, from
-    d alone, never from the state or the closed form.
-    Raises :class:`ValueError` unless ``0 <= tolerance < 1``.
+    d alone, never from the state or the closed form.  Each holds by
+    construction (summing the d+1 constraints gives 0 = 1 mod d), so a
+    miss, beyond a relative ``AGREEMENT_REL`` for the probabilities,
+    raises :class:`CrossCheckError` naming d.
     """
-    _check_tolerance(tolerance)
     state = build_qudit_family(d)
     n = d + 1
     probs = []
     for j in range(1, n + 1):
         _, post = project_z(state, {j: 0})
-        dist = x_product_distribution(post, sorted(set(range(1, n + 1)) - {j}))
-        probs.append(dist[1])
+        probability = x_product_distribution(post, sorted(set(range(1, n + 1)) - {j}))[1]
+        if not _agrees(probability, 1.0):
+            raise CrossCheckError(f"qudit family d={d}: constraint at site {j} reads {probability!r}, not 1")
+        probs.append(probability)
     joint = joint_z_probability(state, range(1, n + 1), 0)
     formula = 1.0 / (1 + (d - 1) * (d + 1))
+    if not _agrees(joint, formula):
+        raise CrossCheckError(f"qudit family d={d}: simulated joint probability {joint!r} differs "
+                              f"from 1/(1+(d-1)(d+1)) = {formula!r}")
     # site j's constraint: the powers at every other site sum to 1 mod d
     full = (1 << n) - 1
     satisfying, _ = census(d, n, [(full ^ 1 << j, 1) for j in range(n)])
-    certain = all(abs(p - 1.0) <= tolerance for p in probs)
-    paradox = certain and satisfying == 0 and joint > 0.0
+    if satisfying:
+        raise CrossCheckError(f"qudit family d={d}: the census found {satisfying} satisfying "
+                              f"assignments, but the constraints sum to 0 = 1 mod d")
     return QuditCertificate(
         d=d,
         n=n,
@@ -379,5 +380,4 @@ def verify_qudit_family(d: int, tolerance: float = PROBABILITY_TOL) -> QuditCert
         joint_formula=formula,
         census_total=d ** n,
         census_satisfying=satisfying,
-        verdict="paradox" if paradox else "no_paradox",
     )

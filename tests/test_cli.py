@@ -360,6 +360,12 @@ def test_shots_above_ceiling_exit_1(capsys, triangle_file):
     assert code == 0 and sum(json.loads(out)["sampled_counts"].values()) == 5
 
 
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_shots_below_one_exit_1(capsys, triangle_file, shots):
+    assert run(capsys, "simulate", triangle_file, "--shots", shots) == (
+        1, "", "error: shots must be positive\n")
+
+
 def test_table_max_n_above_ceiling_exit_1(capsys):
     from pcgraph.verify import MAX_TABLE_N
 
@@ -418,18 +424,17 @@ def test_search_workers_below_one_exit_1(capsys):
     assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1", "1", "inf"])
-def test_tolerance_outside_unit_interval_exit_1(capsys, psi_file, tolerance):
-    code, out, err = run(capsys, "verify", psi_file, "--tolerance", tolerance)
-    assert code == 1 and out == ""
-    assert "tolerance" in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv", [
     ["check", "{psi}", "--tolerance", "nan"],
     ["simulate", "{psi}", "--tolerance", "-5", "--observable", "X:1,2"],
     ["validate", "{psi}", "--tolerance", "0.5"],
     ["table", "--max-n", "4", "--tolerance", "0.5"],
+    # the verdict comes from the ranks, so verify takes no tolerance either
+    ["verify", "{psi}", "--tolerance", "0"],
+    ["verify", "{psi}", "--tolerance", "nan"],
+    ["verify", "{psi}", "--tolerance", "-1"],
+    ["verify", "{psi}", "--tolerance", "1"],
+    ["verify", "{psi}", "--tolerance", "inf"],
 ])
 def test_tolerance_only_on_verify(capsys, psi_file, argv):
     code, out, err = run(capsys, *(a.format(psi=psi_file) for a in argv))
@@ -537,13 +542,31 @@ def test_success_off_the_formula_exits_3(capsys, monkeypatch, psi_file):
     assert "simulated success" in err
 
 
+def test_hardy_probability_off_one_exits_3(capsys, monkeypatch, triangle_file):
+    from pcgraph import load_pcg_file, pcg_digest
+
+    verify_mod = sys.modules["pcgraph.verify"]
+    real = verify_mod.x_product_distribution
+
+    def skewed(state, sites):
+        return {k: p * (1 - 1e-9) for k, p in real(state, sites).items()}
+
+    monkeypatch.setattr(verify_mod, "x_product_distribution", skewed)
+    code, out, err = run(capsys, "verify", triangle_file)
+    digest = pcg_digest(load_pcg_file(triangle_file).pcg)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"internal cross-check divergence: instance {digest}: Hardy check on edge [2, 3]")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["loop", "--params", "n=1e400"], "error: n must be an integer, got inf\n"),
     (["loop", "--params", "n=5.9"], "error: n must be an integer, got 5.9\n"),
     (["magic-m4", "--params", "zzz=3"], "error: magic-m4 takes no parameter(s) ['zzz']\n"),
     (["loop", "--params", "n"], "error: --params entry 'n': expected key=value\n"),
     (["loop", "--params", "n=five"], "error: --params 'n=five': value must be a number\n"),
-], ids=["overflow", "fraction", "unknown-name", "no-value", "not-a-number"])
+    (["minimal-psi", "--params", "alpha=0.5", "alpha=0.6"],
+     "error: --params 'alpha=0.6': key 'alpha' listed twice\n"),
+], ids=["overflow", "fraction", "unknown-name", "no-value", "not-a-number", "repeated-key"])
 @pytest.mark.parametrize("action", ["show", "export"])
 def test_bad_catalog_params_exit_1_with_one_line(capsys, action, argv, message):
     assert run(capsys, "catalog", action, *argv) == (1, "", message)
@@ -564,8 +587,11 @@ def test_integral_float_catalog_param_reads_as_integer(capsys):
     (["--observable", "X:1,2=+1"], "only Z observables take an =outcome suffix"),
     (["--observable", "X:1,b"], "observable 'X:1,b': bad site list"),
     (["--observable", "X:,"], "observable 'X:,': empty site list"),
+    (["--observable", "X:1,1"], "observable 'X:1,1': site 1 listed twice"),
+    (["--observable", "Y:2,1,2"], "observable 'Y:2,1,2': site 2 listed twice"),
+    (["--observable", "Z:3,3=-1"], "observable 'Z:3,3=-1': site 3 listed twice"),
 ], ids=["outcome", "letter", "site", "twice", "no-colon", "observable-letter", "x-outcome",
-        "site-list", "empty-sites"])
+        "site-list", "empty-sites", "x-twice", "y-twice", "z-twice"])
 def test_bad_condition_and_observable_exit_1_with_one_line(capsys, triangle_file, argv, message):
     assert run(capsys, "simulate", triangle_file, *argv) == (1, "", f"error: {message}\n")
 

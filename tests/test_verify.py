@@ -1,9 +1,11 @@
 import cmath
+import functools
 import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcgraph import (
     BTerm,
@@ -52,7 +54,7 @@ def test_minimal_certificate():
     assert cert.success.sites == (1, 2, 3)
     assert abs(cert.success.simulated - 0.125) < 1e-12
     assert abs(cert.success.formula - 0.125) < 1e-12
-    assert cert.success.formula_applicable
+    assert cert.to_json_dict()["success"]["formula_applicable"] is True
 
 
 def test_certificate_deterministic():
@@ -186,6 +188,55 @@ def test_hardy_loop_conditions_and_measures_once_per_edge(monkeypatch, pcg):
     assert len(cert.hardy_checks) == pcg.p
 
 
+@functools.cache
+def _forms_and_catalog_graphs() -> tuple[tuple[PCG, ...], tuple[PCG, ...]]:
+    entries = (catalog.get(i) for i in catalog.catalog_ids())
+    graphs = tuple(e.pcg for e in entries if e.pcg is not None and validate(e.pcg).ok)
+    return tuple(enumerate_pcgs(5, 5)), graphs
+
+
+@st.composite
+def relabelled_instances(draw):
+    """An instance, and the same one with its vertices relabelled and its edges reordered.
+
+    The graph is an enumerated (5, 5) form or a valid catalog graph; half
+    the draws take |alpha| < 1 with one admissible b-term.
+    """
+    forms, graphs = _forms_and_catalog_graphs()
+    pcg = draw(st.one_of(st.sampled_from(forms), st.sampled_from(graphs)))
+    images = draw(st.permutations(range(1, pcg.n + 1)))
+    relabel = dict(zip(range(1, pcg.n + 1), images))
+    order = draw(st.permutations(pcg.edges))
+    moved = PCG.build(pcg.n, [([relabel[v] for v in e.vertices], e.theta) for e in order])
+    alpha, b_terms, moved_b_terms = 1.0, [], []
+    if draw(st.booleans()):
+        alpha = draw(st.floats(0.05, 0.95)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+        vertices = draw(st.sets(st.integers(1, pcg.n), min_size=1))
+        if any(vertices <= set(e.vertices) for e in pcg.edges):
+            vertices = set(range(1, pcg.n + 1))  # the full set lies inside no edge
+        lam = cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+        b_terms = [BTerm(tuple(vertices), lam)]
+        moved_b_terms = [BTerm(tuple(relabel[v] for v in vertices), lam)]
+    return (pcg, b_terms), (moved, moved_b_terms), alpha, relabel
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_instances())
+def test_certificate_is_invariant_under_relabelling_and_edge_order(instances):
+    (pcg, b_terms), (moved, moved_b_terms), alpha, relabel = instances
+    base = verify(pcg, alpha, b_terms)
+    cert = verify(moved, alpha, moved_b_terms)
+    assert (cert.verdict, cert.rank_a, cert.rank_b) == (base.verdict, base.rank_a, base.rank_b)
+    assert (cert.census_total, cert.census_satisfying) == (base.census_total, base.census_satisfying)
+    # edge by edge through the relabelling, which also pins the sorted probabilities
+    expected = {tuple(sorted(relabel[v] for v in c.edge)): c.probability for c in base.hardy_checks}
+    assert len(cert.hardy_checks) == len(expected)
+    for check in cert.hardy_checks:
+        assert abs(check.probability - expected[check.edge]) <= 1e-12
+    assert abs(cert.success.simulated - base.success.simulated) <= 1e-12
+    assert set(cert.success.sites) == {relabel[v] for v in base.success.sites}
+
+
 # --- success table -----------------------------------------------------------
 
 def test_table_first_rows():
@@ -291,22 +342,37 @@ def test_qudit_certificate_equals_grid_census_certificate(monkeypatch, d):
     assert calls == [(d, d + 1, sorted(_leave_one_out(d + 1)))]
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 1.0, math.inf])
-def test_tolerance_outside_unit_interval_is_refused(tolerance):
-    with pytest.raises(ValueError, match="tolerance"):
-        verify(triangle_pcg(), SQ2, [BTerm((1, 2, 3), 1.0)], tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        verify_qudit_family(3, tolerance=tolerance)
+def _skewed(real, factor):
+    """``real`` with every probability it returns multiplied by ``factor``."""
+    def skewed(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if isinstance(result, dict):
+            return {k: p * factor for k, p in result.items()}
+        return result * factor
+
+    return skewed
 
 
-def test_tolerance_at_the_ends_of_the_unit_interval_is_accepted():
-    # 0 demands probabilities of exactly 1, which rounding may miss, so
-    # only the absence of an error is pinned there
-    for tolerance in (0.0, 0.5, math.nextafter(1.0, 0.0)):
-        cert = verify(triangle_pcg(), SQ2, [BTerm((1, 2, 3), 1.0)], tolerance=tolerance)
-        qudit = verify_qudit_family(2, tolerance=tolerance)
-        if tolerance:
-            assert cert.verdict == qudit.verdict == "paradox"
+@pytest.mark.parametrize("name, factor, message", [
+    ("x_product_distribution", 1 - 1e-9, "constraint at site 1 reads 0.99999999"),
+    ("x_product_distribution", 1 + 1e-9, "constraint at site 1 reads 1.00000000"),
+    ("joint_z_probability", 1 + 1e-9, "simulated joint probability"),
+], ids=["constraint-low", "constraint-high", "joint"])
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_qudit_probability_off_its_value_raises_cross_check_error(monkeypatch, d, name, factor, message):
+    monkeypatch.setattr(verify_mod, name, _skewed(getattr(verify_mod, name), factor))
+    with pytest.raises(CrossCheckError, match=f"qudit family d={d}: ") as info:
+        verify_qudit_family(d)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_qudit_census_above_zero_raises_cross_check_error(monkeypatch, d):
+    # summing the d+1 leave-one-out constraints gives 0 = 1 mod d, so no
+    # assignment satisfies them all
+    monkeypatch.setattr(verify_mod, "census", lambda d_arg, n, constraints: (1, None))
+    with pytest.raises(CrossCheckError, match=f"qudit family d={d}: the census found 1 satisfying"):
+        verify_qudit_family(d)
 
 
 def test_qudit_d2_matches_minimal_instance():
@@ -347,7 +413,6 @@ def test_qudit_product_contradiction_structure():
 def test_channels_agree_on_every_enumerated_form():
     forms = enumerate_pcgs(5, 5)
     verdicts = set()
-    applicable = 0
     for pcg in forms:
         cert = verify(pcg)
         verdicts.add(cert.verdict)
@@ -356,10 +421,9 @@ def test_channels_agree_on_every_enumerated_form():
         assert cert.census_total == 1 << pcg.n
         assert cert.census_satisfying == (1 << pcg.n - cert.rank_a if cert.colorable else 0)
         assert all(abs(c.probability - 1) <= 1e-12 for c in cert.hardy_checks)
-        if cert.success.formula_applicable:
-            applicable += 1
-            assert cert.success.simulated == pytest.approx(1 / (pcg.p + 1), abs=1e-12)
-    assert verdicts == {"paradox", "no_paradox"} and applicable > 0
+        assert cert.to_json_dict()["success"]["formula_applicable"] is True
+        assert cert.success.simulated == pytest.approx(1 / (pcg.p + 1), abs=1e-12)
+    assert verdicts == {"paradox", "no_paradox"}
     representatives = classify(forms).representatives
     assert representatives
     for pcg in representatives:
@@ -376,7 +440,6 @@ def test_channels_agree_on_seeded_enumerated_forms_with_b_terms():
     rng = random.Random(1707)
     forms = rng.sample(enumerate_pcgs(5, 5), 300)
     verdicts = set()
-    applicable = 0
     for pcg in forms:
         b_terms = ()
         while not b_terms:
@@ -387,10 +450,9 @@ def test_channels_agree_on_seeded_enumerated_forms_with_b_terms():
         assert (cert.verdict == "paradox") == (not cert.colorable)
         assert cert.census_satisfying == (1 << pcg.n - cert.rank_a if cert.colorable else 0)
         assert all(abs(c.probability - 1) <= 1e-12 for c in cert.hardy_checks)
-        if cert.success.formula_applicable:
-            applicable += 1
-            assert cert.success.simulated == pytest.approx(abs(alpha) ** 2 / (pcg.p + 1), abs=1e-12)
-    assert verdicts == {"paradox", "no_paradox"} and applicable > 0
+        assert cert.to_json_dict()["success"]["formula_applicable"] is True
+        assert cert.success.simulated == pytest.approx(abs(alpha) ** 2 / (pcg.p + 1), abs=1e-12)
+    assert verdicts == {"paradox", "no_paradox"}
 
 
 def test_success_off_the_formula_raises_cross_check_error(monkeypatch):
@@ -408,12 +470,29 @@ def test_success_off_the_formula_raises_cross_check_error(monkeypatch):
     assert "simulated success" in str(info.value) and "|alpha|^2/(p+1)" in str(info.value)
 
 
+@pytest.mark.parametrize("factor, reads", [
+    (1 - 1e-9, "0.99999999"), (1 + 1e-9, "1.00000000"), (math.nan, "nan"),
+], ids=["low", "high", "nan"])
+@pytest.mark.parametrize("pcg", [triangle_pcg(), magic_m9_pcg()], ids=["paradox", "colorable"])
+def test_hardy_probability_off_one_raises_cross_check_error(monkeypatch, pcg, factor, reads):
+    # every conditional X product of a valid instance is certain, whatever
+    # the verdict, so a reading of 1 -+ 1e-9 is a bug, not a "no paradox"
+    real = verify_mod.x_product_distribution
+    monkeypatch.setattr(verify_mod, "x_product_distribution", _skewed(real, factor))
+    with pytest.raises(CrossCheckError, match=pcg_digest(pcg)) as info:
+        verify(pcg)
+    edge = list(pcg.edges[0].vertices)
+    assert f"Hardy check on edge {edge} reads {reads}" in str(info.value)
+    assert str(info.value).endswith(", not 1")
+
+
 def test_smallest_alpha_that_keeps_the_graph_component():
     b_terms = [BTerm((1, 2, 3), 1.0)]
     with pytest.raises(StateConditionError, match="no graph component"):
         verify(triangle_pcg(), 1e-15, b_terms)
     cert = verify(triangle_pcg(), 2e-15, b_terms)
-    assert cert.verdict == "paradox" and cert.success.formula_applicable
+    assert cert.verdict == "paradox"
+    assert cert.to_json_dict()["success"]["formula_applicable"] is True
     assert 0 < cert.success.simulated == pytest.approx(cert.success.formula, rel=1e-12)
 
 
