@@ -25,7 +25,6 @@ from .graph import (
     ValidationReport,
     Violation,
     brute_force_colorings,
-    edge,
     from_adjacency_map,
     is_colorable,
     irreducibility_status,
@@ -97,7 +96,6 @@ __all__ = [
     "catalog_ids",
     "classify",
     "dump_pcg_file",
-    "edge",
     "enumerate_pcgs",
     "from_adjacency_map",
     "from_json_dict",

@@ -34,9 +34,9 @@ from .verify import MAX_TABLE_N, SIMULATE_UP_TO, success_table, verify
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the contract here is 1.
+    # argparse prints its usage and exits with 2 on usage errors; the contract
+    # here is one error line and exit 1, like every other error.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

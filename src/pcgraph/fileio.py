@@ -19,6 +19,12 @@ from .states import BTerm
 # Largest vertex count of an instance file: verify(loop_pcg(n), lhv_cap=0) takes
 # about 1.4 s at n = 16000 and 25 s at n = 64000 on a 2-CPU host (near-quadratic).
 MAX_FILE_N = 1 << 14
+# Longest edges and b_terms lists, so that a loop fits at the vertex ceiling.  On a
+# 2-CPU host verify takes about 1.0 s on loop_pcg(16384) and 0.75 s on the complete
+# graph K_181 (16,290 edges); with 128 b-terms on that loop, the check that each
+# b-term meets every edge's complement takes 0.8 s and verify 1.6 s.
+MAX_FILE_EDGES = 1 << 14
+MAX_FILE_B_TERMS = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -69,13 +75,16 @@ def _parse_complex(obj, where: str, allow_magnitude: bool = False) -> complex:
 
 
 def _vertex_items(
-    data: Mapping, field: str, value_key: str
+    data: Mapping, field: str, value_key: str, ceiling: int
 ) -> Iterator[tuple[str, tuple, object]]:
     """(where, vertices, value) for each object of the list ``data[field]`` (none if absent),
-    each with exactly the keys ``vertices`` (a list of integers) and ``value_key``."""
+    each with exactly the keys ``vertices`` (a list of integers) and ``value_key``; the
+    list may hold at most ``ceiling`` objects."""
     items = data.get(field, [])
     if not isinstance(items, list):
         raise PcgFileError(f"{field}: expected a list")
+    if len(items) > ceiling:
+        raise PcgFileError(f"{field}: {len(items)} items exceed the ceiling of {ceiling}")
     for i, item in enumerate(items):
         where = f"{field}[{i}]"
         if not isinstance(item, dict):
@@ -103,7 +112,7 @@ def from_json_dict(data) -> PcgFile:
             "the qudit family is available through the catalog"
         )
     edges = []
-    for where, verts, theta in _vertex_items(data, "edges", "theta"):
+    for where, verts, theta in _vertex_items(data, "edges", "theta", MAX_FILE_EDGES):
         if not _is_int(theta) or theta not in (1, -1):
             raise PcgFileError(f"{where}.theta: expected 1 or -1")
         try:
@@ -114,7 +123,7 @@ def from_json_dict(data) -> PcgFile:
     if "alpha" in data:
         alpha = _parse_complex(data["alpha"], "alpha", allow_magnitude=True)
     b_terms = [BTerm(verts, _parse_complex(lam, f"{where}.lambda"))
-               for where, verts, lam in _vertex_items(data, "b_terms", "lambda")]
+               for where, verts, lam in _vertex_items(data, "b_terms", "lambda", MAX_FILE_B_TERMS)]
     try:
         pcg = PCG(n, tuple(edges))
     except ValueError as exc:

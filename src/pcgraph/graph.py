@@ -72,10 +72,6 @@ class SignedEdge:
         return {"vertices": list(self.vertices), "theta": self.theta}
 
 
-def edge(vertices: Iterable[int], theta: int = 1) -> SignedEdge:
-    return SignedEdge(tuple(vertices), theta)
-
-
 @dataclass(frozen=True)
 class PCG:
     """Signed hypergraph on vertices 1..n with an ordered edge list.

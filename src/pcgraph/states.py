@@ -64,14 +64,12 @@ class SparseState:
     amplitudes: dict[int, complex]
 
     @classmethod
-    def from_amplitudes(
-        cls, n: int, amps: Mapping[str, complex], d: int = 2, normalize: bool = False
-    ) -> "SparseState":
+    def from_amplitudes(cls, n: int, amps: Mapping[str, complex], d: int = 2) -> "SparseState":
         """State from digit-string keys; checks key shape and the norm."""
-        return cls._from_keys(n, d, {parse_key(k, n, d): a for k, a in amps.items()}, normalize)
+        return cls._from_keys(n, d, {parse_key(k, n, d): a for k, a in amps.items()})
 
     @classmethod
-    def _from_keys(cls, n: int, d: int, amps: Mapping[int, complex], normalize: bool = False):
+    def _from_keys(cls, n: int, d: int, amps: Mapping[int, complex]):
         if n < 1:
             raise ValueError("site count must be at least 1")
         if d < 2:
@@ -84,12 +82,7 @@ class SparseState:
             if abs(amp) >= PRUNE_TOL:
                 cleaned[key] = complex(amp)
         norm2 = sum([abs(a) ** 2 for a in cleaned.values()])
-        if normalize:
-            if norm2 == 0:
-                raise ValueError("cannot normalize the zero state")
-            scale = 1 / math.sqrt(norm2)
-            cleaned = {k: a * scale for k, a in cleaned.items()}
-        elif abs(norm2 - 1.0) > NORM_TOL:
+        if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {norm2} is not 1 within {NORM_TOL}")
         return cls(n, d, cleaned)
 
@@ -222,7 +215,8 @@ def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, co
 
 
 def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, complex]:
-    """The qubit amplitudes whose key agrees with ``want`` on the bits of ``mask``.
+    """The qubit amplitudes whose key agrees with ``want`` (a subset of
+    ``mask``) on the bits of ``mask``.
 
     A matching key other than 0 has its lowest set bit at want's lowest
     bit, or at a free site (one outside ``mask``) below it; with
@@ -234,8 +228,6 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
         raise ValueError(f"a site mask conditions qubits only, got d={state.d}")
     if mask < 0 or mask >> state.n:
         raise ValueError(f"site mask {mask:#x} has sites outside 1..{state.n}")
-    if want and want & ~mask:
-        raise ValueError(f"outcome bits {want & ~mask:#x} lie outside the site mask {mask:#x}")
     if want:
         first = want & -want
         free = (first - 1) & ~mask
@@ -256,20 +248,17 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
 
 
 def project_z(
-    state: SparseState, assignment: Mapping[int, int] | int, want: int = 0
+    state: SparseState, assignment: Mapping[int, int] | int
 ) -> tuple[float, SparseState | None]:
     """Condition on Z outcomes: returns (probability, renormalized state).
 
     ``assignment`` maps 1-based sites to observed digits.  For qubits it
-    may instead be a site mask (bit v-1 for site v): the outcome on those
-    sites is then read from the same bits of ``want``, so ``want = 0``
-    conditions every masked site on Z = +1.  A zero probability returns
-    None for the post state.
+    may instead be a site mask (bit v-1 for site v), which conditions
+    every masked site on Z = +1.  A zero probability returns None for
+    the post state.
     """
     if isinstance(assignment, int):
-        matching = _matching_mask(state, assignment, want)
-    elif want:
-        raise ValueError("outcome bits go with a site mask; a site map carries its own digits")
+        matching = _matching_mask(state, assignment, 0)
     else:
         matching = _matching(state, assignment)
     prob = sum([abs(a) ** 2 for a in matching.values()])

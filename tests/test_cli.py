@@ -317,6 +317,48 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv, prog", [
+    (["verify", "{file}", "--tolerance", "0"], "pcgraph"),  # unknown option
+    (["search", "--n", "3", "--max-edges", "2", "--workers", "2"], "pcgraph"),
+    (["verify"], "pcgraph verify"),  # missing argument
+    (["table"], "pcgraph table"),  # missing required option
+    (["verify", "{file}", "--lhv-cap", "ten"], "pcgraph verify"),  # bad option value
+    (["no-such-command"], "pcgraph"),  # unknown command
+    (["catalog", "frob"], "pcgraph catalog"),
+], ids=["unknown-option", "unknown-search-option", "missing-argument", "missing-option",
+        "bad-value", "unknown-command", "unknown-catalog-action"])
+def test_usage_errors_write_one_line(capsys, triangle_file, argv, prog):
+    code, out, err = run(capsys, *(a.format(file=triangle_file) for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"{prog}: error: ")
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run(capsys, "verify", "--help")
+    assert code == 0 and err == "" and out.startswith("usage: pcgraph verify [-h] [--json]")
+
+
+@pytest.mark.parametrize("field, ceiling_name", [
+    ("edges", "MAX_FILE_EDGES"), ("b_terms", "MAX_FILE_B_TERMS")])
+@pytest.mark.parametrize("command", ["validate", "check", "verify"])
+def test_list_one_past_its_ceiling_exit_1_at_once(capsys, tmp_path, command, field, ceiling_name):
+    from pcgraph import fileio
+
+    ceiling = getattr(fileio, ceiling_name)
+    data = {"n": 3, "edges": [{"vertices": [2, 3], "theta": 1}, {"vertices": [1, 3], "theta": 1},
+                              {"vertices": [1, 2], "theta": 1}]}
+    item = {"edges": {"vertices": [1, 2], "theta": 1},
+            "b_terms": {"vertices": [1, 2, 3], "lambda": {"re": 1.0, "im": 0.0}}}[field]
+    data[field] = [item] * (ceiling + 1)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == f"error: {field}: {ceiling + 1} items exceed the ceiling of {ceiling}\n"
+
+
 def test_cross_check_divergence_exit_code(capsys, monkeypatch, triangle_file):
     # unreachable through real instances by construction; force the error
     # to pin the exit-code contract

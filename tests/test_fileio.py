@@ -152,6 +152,34 @@ def test_vertex_count_ceiling_is_checked_before_any_graph(monkeypatch):
     assert at_ceiling.pcg.n == fileio.MAX_FILE_N
 
 
+def test_list_length_ceilings_are_checked_before_any_item(monkeypatch):
+    from pcgraph import fileio
+
+    def no_item(*args, **kwargs):
+        raise AssertionError("item built despite the ceiling")
+
+    pair = {"vertices": [1, 2], "theta": 1}
+    term = {"vertices": [1, 2, 3], "lambda": {"re": 1.0, "im": 0.0}}
+    triangle = [{"vertices": [2, 3], "theta": 1}, {"vertices": [1, 3], "theta": 1}, pair]
+    monkeypatch.setattr(fileio, "SignedEdge", no_item)
+    over = fileio.MAX_FILE_EDGES + 1
+    with pytest.raises(PcgFileError, match=f"edges: {over} items exceed the ceiling of {over - 1}$"):
+        from_json_dict({"n": 3, "edges": [pair] * over})
+    monkeypatch.undo()
+    monkeypatch.setattr(fileio, "BTerm", no_item)
+    over = fileio.MAX_FILE_B_TERMS + 1
+    with pytest.raises(PcgFileError, match=f"b_terms: {over} items exceed the ceiling of {over - 1}$"):
+        from_json_dict({"n": 3, "edges": triangle, "b_terms": [term] * over})
+    monkeypatch.undo()
+    # a loop at the vertex ceiling fits, and so does a full list of b-terms
+    n = fileio.MAX_FILE_N
+    loop = [{"vertices": [v, v % n + 1], "theta": 1} for v in range(1, n + 1)]
+    assert fileio.MAX_FILE_EDGES >= n
+    assert from_json_dict({"n": n, "edges": loop[:fileio.MAX_FILE_EDGES]}).pcg.p == n
+    full = from_json_dict({"n": 3, "edges": triangle, "b_terms": [term] * fileio.MAX_FILE_B_TERMS})
+    assert len(full.b_terms) == fileio.MAX_FILE_B_TERMS
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 3,\n  "edges": [}')

@@ -8,7 +8,7 @@ import types
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pcgraph import (
     PCG,
@@ -185,6 +185,38 @@ def test_validate_edge_size_bounds():
     pcg = PCG.build(2, [((1, 2), +1)])
     report = validate(pcg)
     assert [v.kind for v in report.violations] == ["edge-size"]
+
+
+@st.composite
+def relabelled_invalid_graphs(draw):
+    """An invalid signed hypergraph (n <= 9, p <= 12), and the same one with its
+    vertices relabelled and its edges reordered, with each moved edge's old index.
+
+    Small random edge sets leave vertices uncovered, nest or repeat edges,
+    split into several components, or hold all n vertices.
+    """
+    n = draw(st.integers(1, 9))
+    vertex_sets = st.sets(st.integers(1, n), min_size=1, max_size=n).map(sorted)
+    edges = draw(st.lists(st.tuples(vertex_sets, st.sampled_from((1, -1))),
+                          min_size=1, max_size=12))
+    pcg = PCG.build(n, edges)
+    assume(not validate(pcg).ok)
+    images = draw(st.permutations(range(1, n + 1)))
+    order = draw(st.permutations(range(pcg.p)))
+    moved = PCG.build(n, [([images[v - 1] for v in pcg.edges[i].vertices], pcg.edges[i].theta)
+                          for i in order])
+    return pcg, moved, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_invalid_graphs())
+def test_violation_kinds_are_invariant_under_relabelling_and_edge_order(case):
+    pcg, moved, order = case
+    base, report = validate(pcg).violations, validate(moved).violations
+    assert base and Counter(v.kind for v in report) == Counter(v.kind for v in base)
+    # each violation names the same edges, read through the reorder
+    assert Counter((v.kind, frozenset(order[i] for i in v.edges)) for v in report) == \
+        Counter((v.kind, frozenset(v.edges)) for v in base)
 
 
 # --- incidence rows: A as e.mask, Theta as e.theta_bit ------------------------

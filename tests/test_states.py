@@ -120,8 +120,6 @@ def test_sparse_state_validates_keys_and_norm():
         SparseState.from_amplitudes(2, {"02": 1.0})
     with pytest.raises(ValueError):
         SparseState.from_amplitudes(2, {"00": 0.5})
-    renorm = SparseState.from_amplitudes(2, {"00": 0.5}, normalize=True)
-    assert abs(renorm.norm_squared() - 1.0) < 1e-12
 
 
 # --- project_z ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 import random
 import sys
@@ -165,6 +166,34 @@ def test_wide_loops_certify_as_paradoxes(pcg):
     assert abs(cert.success.simulated - 1 / (pcg.p + 1)) <= 1e-12
     assert cert.success.sites == tuple(range(1, pcg.n + 1))
     assert cert.rank_b == cert.rank_a + 1 == pcg.n
+
+
+def _blown_up_triangle(n: int) -> PCG:
+    """Three red edges A∪B, B∪C and A∪C over a partition of 1..n into three parts."""
+    parts = [list(range(1, n + 1))[k::3] for k in range(3)]
+    return PCG.build(n, [(parts[a] + parts[b], 1) for a, b in ((0, 1), (1, 2), (0, 2))])
+
+
+def _clique_line_graph(p: int, red: int) -> PCG:
+    """The line graph of K_p: a vertex per pair of K_p's vertices, and an edge per
+    vertex of K_p holding the p - 1 pairs through it; the first ``red`` edges are red."""
+    pairs = list(itertools.combinations(range(p), 2))
+    return PCG.build(len(pairs), [([k + 1 for k, pair in enumerate(pairs) if i in pair],
+                                   1 if i < red else -1) for i in range(p)])
+
+
+@pytest.mark.parametrize("pcg", [_blown_up_triangle(n) for n in range(4, 10)]
+                         + [_clique_line_graph(p, red) for p, red in ((4, 1), (5, 3), (6, 5), (7, 7))],
+                         ids=[f"triangle-{n}" for n in range(4, 10)]
+                         + [f"clique-line-{p}" for p in range(4, 8)])
+def test_success_frontier_families_certify_through_every_channel(pcg):
+    cert = verify(pcg)
+    assert cert.verdict == "paradox" and cert.rank_b == cert.rank_a + 1
+    assert (cert.census_total, cert.census_satisfying) == (2 ** pcg.n, 0)
+    assert len(cert.hardy_checks) == pcg.p
+    assert all(abs(c.probability - 1.0) <= 1e-12 for c in cert.hardy_checks)
+    # the triangle reaches 1/4 at every n; the line graph of K_p gives 1/(p+1) at n = C(p, 2)
+    assert abs(cert.success.simulated - 1 / (pcg.p + 1)) <= 1e-12
 
 
 @pytest.mark.parametrize("pcg", [triangle_pcg(), loop_pcg(40), odd_red_loop_pcg(41), magic_m9_pcg()],
