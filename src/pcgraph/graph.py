@@ -28,6 +28,8 @@ DEFAULT_CENSUS_CAP = 24
 MAX_CENSUS_CAP = 30
 # A census block covers at most 2^16 assignments, so a table is at most 8 KB.
 CENSUS_BLOCK_BITS = 16
+# A "disconnected" message lists at most this many vertices, then their count.
+MAX_LISTED_VERTICES = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,17 +256,33 @@ def validate(pcg: PCG) -> ValidationReport:
         covered |= part
     uncovered = ((1 << pcg.n) - 1) & ~covered
     if uncovered:
+        vertices = mask_vertices(uncovered)
+        shown = vertices[:MAX_LISTED_VERTICES]
         violations.append(Violation(
             "disconnected",
-            f"vertices {mask_vertices(uncovered)} belong to no edge",
+            f"vertices {shown}{_unlisted(len(shown), len(vertices))} belong to no edge",
         ))
     if len(parts) > 1:
         vertex_lists = sorted(mask_vertices(part) for part in parts)
+        shown_lists, left = [], MAX_LISTED_VERTICES
+        for vertices in vertex_lists:
+            if not left:
+                break
+            shown_lists.append(vertices[:left])
+            left -= len(shown_lists[-1])
+        total = sum(map(len, vertex_lists))
+        unlisted = _unlisted(MAX_LISTED_VERTICES - left, total)
+        count = f"{len(parts)} " if unlisted else ""
         violations.append(Violation(
             "disconnected",
-            f"edge hypergraph splits into components {vertex_lists}",
+            f"edge hypergraph splits into {count}components {shown_lists}{unlisted}",
         ))
     return ValidationReport(tuple(violations))
+
+
+def _unlisted(shown: int, total: int) -> str:
+    """Note on a truncated vertex listing; empty when every vertex is shown."""
+    return f" (the first {shown} of {total} vertices)" if shown < total else ""
 
 
 def require_valid(pcg: PCG) -> None:

@@ -28,7 +28,7 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CrossCheckError, ResourceLimitError, StateConditionError
-from .graph import PCG, site_mask
+from .graph import PCG, mask_vertices, site_mask
 
 NORM_TOL = 1e-9
 PRUNE_TOL = 1e-15
@@ -242,7 +242,8 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
             if entry[1] & mask == want:
                 found.append(entry)
         free ^= low
-    found.sort()
+    if len(found) > 1:
+        found.sort()
     amps = state.amplitudes
     return {k: amps[k] for _, k in found}
 
@@ -256,27 +257,42 @@ def project_z(
     may instead be a site mask (bit v-1 for site v), which conditions
     every masked site on Z = +1.  A zero probability returns None for
     the post state.
+
+    The post state's keys are some of ``state``'s, which were range-checked
+    when it was built, so only the prune test and the norm check run again.
     """
     if isinstance(assignment, int):
         matching = _matching_mask(state, assignment, 0)
     else:
         matching = _matching(state, assignment)
-    prob = sum([abs(a) ** 2 for a in matching.values()])
+    if len(matching) == 2:  # verify's per-edge case; the same sum as below, with no frame
+        a, b = matching.values()
+        prob = abs(a) ** 2 + abs(b) ** 2
+    else:
+        prob = sum([abs(a) ** 2 for a in matching.values()])
     if prob <= 0.0:
         return 0.0, None
     scale = 1 / math.sqrt(prob)
-    post = {k: a * scale for k, a in matching.items()}
-    return prob, SparseState._from_keys(state.n, state.d, post)
+    post: dict[int, complex] = {}
+    norm2 = 0.0
+    for k, a in matching.items():
+        a *= scale
+        if abs(a) >= PRUNE_TOL:
+            post[k] = a
+            norm2 += abs(a) ** 2
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm^2 = {norm2} is not 1 within {NORM_TOL}")
+    return prob, SparseState(state.n, state.d, post)
 
 
-def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dict[int, complex]:
-    """Apply X (|m> -> |m-1 mod d>) on every listed site; a key bijection."""
+def _apply_shift(amps: dict[int, complex], shift: int | frozenset[int], d: int) -> dict[int, complex]:
+    """Apply X (|m> -> |m-1 mod d>) on every site of ``shift``, a site mask
+    when d = 2 and a set of sites otherwise; a key bijection."""
     if d == 2:
-        mask = site_mask(sites)
-        return {k ^ mask: a for k, a in amps.items()}
+        return {k ^ shift: a for k, a in amps.items()}
     # Each digit steps down by one, so the key drops by every place, and a
     # digit 0 wraps to d-1, which adds d times its place back.
-    places = [d ** (s - 1) for s in sites]
+    places = [d ** (s - 1) for s in shift]
     total = sum(places)
     shifted = {}
     for k, a in amps.items():
@@ -288,50 +304,71 @@ def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dic
     return shifted
 
 
-@lru_cache(maxsize=64)  # every row for d = 2..7 fits; a row for any d takes O(d) memory
-def _inverse_root_row(d: int, j: int) -> tuple[complex, ...]:
-    """omega(d) ** (-j*m) for m = 0..d-1."""
+@lru_cache(maxsize=8)  # d = 2..7 fit; the rows for any d take O(d^2) memory
+def _inverse_root_rows(d: int) -> tuple[tuple[complex, ...], ...]:
+    """Row j holds omega(d) ** (-j*m) for m = 0..d-1."""
     w = omega(d)
-    return tuple(w ** (-j * m) for m in range(d))
+    return tuple(tuple(w ** (-j * m) for m in range(d)) for j in range(d))
 
 
 def x_product_distribution(
-    state: SparseState, sites: Iterable[int], basis: str = "X"
+    state: SparseState, sites: Iterable[int] | int, basis: str = "X"
 ) -> dict[int, float]:
     """Exact outcome distribution of the product observable over ``sites``.
 
     The observable is the product of single-site shift operators (Pauli
     X for qubits); eigenvalues are omega^j and the returned map is
-    keyed by the power j, so j=0 is +1 and j=1 is -1 when d=2.  Basis
-    "Y" (qubits only) conjugates each measured site by diag(1, -i)
-    before the same evaluation.
+    keyed by the power j, so j=0 is +1 and j=1 is -1 when d=2.  For
+    qubits ``sites`` may instead be a nonzero site mask (bit v-1 for
+    site v).  Basis "Y" (qubits only) conjugates each measured site by
+    diag(1, -i) before the same evaluation.
     """
-    site_set = frozenset(sites)
-    if not site_set:
-        raise ValueError("site set must be nonempty")
-    for s in site_set:
-        if not 1 <= s <= state.n:
-            raise ValueError(f"site {s} out of range 1..{state.n}")
+    d = state.d
+    if isinstance(sites, int):
+        if d != 2:
+            raise ValueError(f"a site mask selects qubits only, got d={d}")
+        if sites <= 0 or sites >> state.n:
+            raise ValueError(f"site mask {sites:#x} is empty or has sites outside 1..{state.n}")
+        shift = sites
+    else:
+        site_set = frozenset(sites)
+        if not site_set:
+            raise ValueError("site set must be nonempty")
+        for s in site_set:
+            if not 1 <= s <= state.n:
+                raise ValueError(f"site {s} out of range 1..{state.n}")
+        shift = site_mask(site_set) if d == 2 else site_set
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be X or Y, got {basis!r}")
     amps = state.amplitudes
     if basis == "Y":
-        if state.d != 2:
+        if d != 2:
             raise ValueError("Y basis is defined for qubits only")
-        mask = site_mask(site_set)
-        amps = {k: a * (-1j) ** (k & mask).bit_count() for k, a in amps.items()}
-    d = state.d
+        amps = {k: a * (-1j) ** (k & shift).bit_count() for k, a in amps.items()}
     # Moments phi_m = <psi| W^m |psi> determine the spectral weights.
-    moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
-    for _ in range(1, d):
-        current = _apply_shift(current, site_set, d)
-        moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
+    if len(amps) == 2:  # verify's per-edge case; the same sums as below, with no frames
+        (k0, a0), (k1, a1) = amps.items()
+        moments, current = [0j + a0.conjugate() * a0 + a1.conjugate() * a1], amps
+        for _ in range(1, d):
+            current = _apply_shift(current, shift, d)
+            moment = 0j
+            if k0 in current:
+                moment += a0.conjugate() * current[k0]
+            if k1 in current:
+                moment += a1.conjugate() * current[k1]
+            moments.append(moment)
+    else:
+        moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
+        for _ in range(1, d):
+            current = _apply_shift(current, shift, d)
+            moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
     dist: dict[int, float] = {}
-    for j in range(d):
-        val = sum(map(mul, _inverse_root_row(d, j), moments)) / d
+    for j, row in enumerate(_inverse_root_rows(d)):
+        val = sum(map(mul, row, moments)) / d
         if abs(val.imag) > 1e-9:
+            listed = mask_vertices(shift) if d == 2 else sorted(shift)
             raise CrossCheckError(f"non-real spectral weight {val} for power {j} of the "
-                                  f"{basis} product over sites {sorted(site_set)} (d={d})")
+                                  f"{basis} product over sites {listed} (d={d})")
         dist[j] = val.real if val.real > 0.0 else 0.0  # max(0.0, val.real), NaN to 0.0 too
     return dist
 

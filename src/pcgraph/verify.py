@@ -217,7 +217,7 @@ def verify(
         union_mask |= complement
         _, post = project_z(state, complement)
         # the antichain and b-term rules leave (|0..0> - theta|e>)/sqrt(2)
-        probability = x_product_distribution(post, e.vertices)[e.theta_bit]  # power 1 is eigenvalue -1
+        probability = x_product_distribution(post, e.mask)[e.theta_bit]  # power 1 is eigenvalue -1
         if not _agrees(probability, 1.0):
             raise CrossCheckError(f"instance {digest}: Hardy check on edge {list(e.vertices)} "
                                   f"reads {probability!r}, not 1")

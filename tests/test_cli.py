@@ -72,6 +72,18 @@ def test_validate_json_shape(capsys, invalid_file):
     assert payload["violations"][0]["kind"] == "disconnected"
 
 
+def test_validate_output_stays_short_at_the_vertex_ceiling(capsys, tmp_path):
+    from pcgraph.fileio import MAX_FILE_N
+
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": MAX_FILE_N, "edges": [
+        {"vertices": [1, 2], "theta": 1}, {"vertices": [3, 4], "theta": 1}]}))
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "validate", str(path), *extra)
+        assert code == 2 and err == ""
+        assert len(out) < 1000 and f"(the first 64 of {MAX_FILE_N - 4} vertices)" in out
+
+
 def test_check_uncolorable(capsys, triangle_file):
     code, out, _ = run(capsys, "check", triangle_file)
     assert code == 0

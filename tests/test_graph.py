@@ -24,7 +24,7 @@ from pcgraph import (
     validate,
 )
 from pcgraph import gf2, graph
-from pcgraph.graph import MAX_CENSUS_CAP, census, mask_vertices, nested_pairs
+from pcgraph.graph import MAX_CENSUS_CAP, MAX_LISTED_VERTICES, census, mask_vertices, nested_pairs
 from pcgraph.catalog import loop_pcg, magic_m4_pcg, magic_m9_pcg, triangle_pcg
 
 from _oracles import (
@@ -155,11 +155,31 @@ def test_is_colorable_reduces_rows_of_at_most_n_plus_one_bits(monkeypatch):
 
 
 def test_validate_lists_uncovered_vertices_and_components_past_64():
+    assert MAX_LISTED_VERTICES == 64
     pcg = PCG.build(140, [((1, 70), 1), ((70, 71), 1), ((72, 130), -1), ((131, 140), 1)])
     covered = {v for e in pcg.edges for v in e.vertices}
+    uncovered = sorted(set(range(1, 141)) - covered)
+    assert len(uncovered) == 133
     assert [v.message for v in validate(pcg).violations] == [
-        f"vertices {sorted(set(range(1, 141)) - covered)} belong to no edge",
+        f"vertices {uncovered[:64]} (the first 64 of 133 vertices) belong to no edge",
         "edge hypergraph splits into components [[1, 70, 71], [72, 130], [131, 140]]",
+    ]
+    # 64 vertices are listed in full, 65 are cut
+    pcg = PCG.build(66, [((1, 66), 1)])
+    assert validate(pcg).violations[0].message == f"vertices {list(range(2, 66))} belong to no edge"
+    pcg = PCG.build(67, [((1, 67), 1)])
+    assert validate(pcg).violations[0].message == \
+        f"vertices {list(range(2, 66))} (the first 64 of 65 vertices) belong to no edge"
+    # components share one budget of 64 vertices, cut inside a component if need be
+    pairs = PCG.build(200, [((2 * i + 1, 2 * i + 2), 1) for i in range(100)])
+    assert [v.message for v in validate(pairs).violations] == [
+        f"edge hypergraph splits into 100 components {[[2 * i + 1, 2 * i + 2] for i in range(32)]}"
+        " (the first 64 of 200 vertices)",
+    ]
+    halves = PCG.build(200, [((i, i + 1), 1) for i in range(1, 200) if i != 100])
+    assert [v.message for v in validate(halves).violations] == [
+        f"edge hypergraph splits into 2 components {[list(range(1, 65))]}"
+        " (the first 64 of 200 vertices)",
     ]
     assert mask_vertices(0) == [] and mask_vertices(1 << 200 | 0b1010) == [2, 4, 201]
 

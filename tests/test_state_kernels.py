@@ -7,6 +7,7 @@ arithmetic.
 """
 import math
 import random
+from operator import mul
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from pcgraph import (
     x_product_distribution,
 )
 from pcgraph.catalog import loop_pcg, triangle_pcg
-from pcgraph.states import MAX_SHOTS, _matching_mask, parse_key, render_key
+from pcgraph.graph import site_mask
+from pcgraph.states import (
+    MAX_SHOTS,
+    _apply_shift,
+    _inverse_root_rows,
+    _matching_mask,
+    parse_key,
+    render_key,
+)
 
 from _oracles import (
     dense_product_distribution,
@@ -36,13 +45,13 @@ MAX_SITES = {2: 6, 3: 4, 4: 3, 5: 3}
 
 
 @st.composite
-def sparse_states(draw, dims=tuple(sorted(MAX_SITES))):
+def sparse_states(draw, dims=tuple(sorted(MAX_SITES)), key_counts=(1, 10)):
     d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, MAX_SITES[d]))
     digit_strings = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(
         lambda digits: "".join(map(str, digits))
     )
-    keys = draw(st.lists(digit_strings, min_size=1, max_size=10, unique=True))
+    keys = draw(st.lists(digit_strings, min_size=key_counts[0], max_size=key_counts[1], unique=True))
     amps = draw(st.lists(
         st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0),
         min_size=len(keys), max_size=len(keys),
@@ -115,6 +124,9 @@ def test_project_z_mask_form_matches_dense_and_map_form(case):
     else:
         assert np.allclose(dense_vector(post), kept / np.sqrt(expected), atol=1e-12)
         assert post == map_post
+        # the post state skips _from_keys, but is what it would have built
+        rebuilt = SparseState._from_keys(post.n, post.d, post.amplitudes)
+        assert _bit_listing(post.amplitudes) == _bit_listing(rebuilt.amplitudes)
 
 
 def _bit_listing(amps: dict[int, complex]) -> list[tuple[int, str, str]]:
@@ -167,6 +179,28 @@ def test_project_z_mask_form_checks_its_range():
         project_z(qutrit, 0b01)
 
 
+def test_project_z_refuses_a_post_state_off_norm():
+    # states built past _from_keys: a NaN or an infinite amplitude leaves
+    # nothing above the prune threshold once rescaled, so the norm check fires
+    for bad in (complex("nan"), complex("inf")):
+        state = SparseState(2, 2, {0: bad, 0b11: 1 + 0j})
+        with pytest.raises(ValueError, match="norm"):
+            project_z(state, 0)
+        with pytest.raises(ValueError, match="norm"):
+            project_z(state, {1: 0})
+
+
+def test_x_product_mask_form_checks_its_range():
+    state = build_state(triangle_pcg())
+    assert x_product_distribution(state, 0b011) == x_product_distribution(state, [1, 2])
+    for mask in (0, 0b1000, 0b1011, -1, -0b10):
+        with pytest.raises(ValueError, match=r"site mask .* is empty or has sites outside 1\.\.3"):
+            x_product_distribution(state, mask)
+    qutrit = SparseState.from_amplitudes(2, {"00": 1.0}, d=3)
+    with pytest.raises(ValueError, match="qubits only"):
+        x_product_distribution(qutrit, 0b01)
+
+
 @settings(max_examples=150, deadline=None)
 @given(state_and_sites())
 def test_x_and_y_distributions_match_dense(case):
@@ -179,6 +213,34 @@ def test_x_and_y_distributions_match_dense(case):
         dist_y = x_product_distribution(state, sites, basis="Y")
         dense_y = dense_product_distribution(state, sites, basis="Y")
         assert all(abs(dist_y[j] - dense_y[j]) < 1e-9 for j in dist_y)
+        # the qubit mask form is the same computation, bit for bit
+        mask = site_mask(sites)
+        assert x_product_distribution(state, mask) == dist
+        assert x_product_distribution(state, mask, basis="Y") == dist_y
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(key_counts=(2, 2)), st.data())
+def test_two_key_kernels_sum_like_the_general_path(state, data):
+    """Two-key states take plain loops; they must add the same terms in the
+    same order as the builtin sums of every other state."""
+    amps = state.amplitudes
+    prob, post = project_z(state, {})
+    assert prob == sum([abs(a) ** 2 for a in amps.values()])
+    scale = 1 / math.sqrt(prob)
+    assert _bit_listing(post.amplitudes) == _bit_listing({k: a * scale for k, a in amps.items()})
+    sites = data.draw(st.sets(st.integers(1, state.n), min_size=1))
+    d = state.d
+    shift = site_mask(sites) if d == 2 else frozenset(sites)
+    moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
+    for _ in range(1, d):
+        current = _apply_shift(current, shift, d)
+        moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
+    expected = {}
+    for j, row in enumerate(_inverse_root_rows(d)):
+        val = sum(map(mul, row, moments)) / d
+        expected[j] = val.real if val.real > 0.0 else 0.0
+    assert x_product_distribution(state, sites) == expected
 
 
 @settings(max_examples=150, deadline=None)
