@@ -28,6 +28,8 @@ SIMULATE_VARIANTS = {
     "condition-x": ["--condition", "Z1=1", "--observable", "X:2,3"],
     "joint-z": ["--observable", "Z:1,2,3=+1"],
     "shots": ["--shots", "50", "--seed", "3"],
+    "y-pair": ["--observable", "Y:1,2"],
+    "x-all": ["--observable", "X:1,2,3"],
 }
 SEARCH_VARIANTS = {
     "n4-e4": ["--n", "4", "--max-edges", "4"],
