@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
     StateConditionError,
 )
-from .fileio import PcgFile, dump_pcg_file, indented_json, load_pcg_file, to_dot, to_json_dict
+from .fileio import PcgFile, indented_json, load_pcg_file, to_dot, to_json_dict
 from .graph import DEFAULT_CENSUS_CAP, MAX_CENSUS_CAP, is_colorable, validate
 from .search import classify, enumerate_pcgs
 from .states import (
@@ -43,6 +43,19 @@ class _Parser(argparse.ArgumentParser):
 def _emit(payload: dict, as_json: bool, human: Callable[[], str]) -> None:
     """Print the payload as JSON, or else the text that ``human`` builds."""
     print(indented_json(payload) if as_json else human())
+
+
+def _print_or_write(text: str, output: str | None) -> None:
+    """Print ``text``, or write it to the file ``output``; an unwritable
+    file is refused like an unreadable one."""
+    if not output:
+        print(text, end="")
+        return
+    try:
+        with open(output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PcgFileError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _parse_outcome(value_text: str, where: str) -> int:
@@ -344,10 +357,7 @@ def cmd_catalog(args) -> int:
         print(f"catalog entry {entry.id!r} has no instance-file representation", file=sys.stderr)
         return 1
     instance = PcgFile(pcg=entry.pcg, alpha=complex(entry.alpha), b_terms=entry.b_terms)
-    if args.output:
-        dump_pcg_file(instance, args.output)
-    else:
-        print(indented_json(to_json_dict(instance)))
+    _print_or_write(indented_json(to_json_dict(instance)) + "\n", args.output)
     return 0
 
 
@@ -355,12 +365,7 @@ def cmd_export(args) -> int:
     instance = load_pcg_file(args.file)
     if not args.dot:
         raise PcgFileError("export currently supports --dot only")
-    text = to_dot(instance.pcg)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _print_or_write(to_dot(instance.pcg), args.output)
     return 0
 
 

@@ -17,7 +17,8 @@ from .graph import PCG, SignedEdge
 from .states import BTerm
 
 # Largest vertex count of an instance file: verify(loop_pcg(n), lhv_cap=0) takes
-# about 1.4 s at n = 16000 and 25 s at n = 64000 on a 2-CPU host (near-quadratic).
+# about 0.8 s at n = 16000 (best of 3; 0.8-1.1 s for one run) and 12 s at n = 64000
+# on a 2-CPU host with Python 3.11 (near-quadratic).
 MAX_FILE_N = 1 << 14
 # Longest edges and b_terms lists, so that a loop fits at the vertex ceiling.  On a
 # 2-CPU host verify takes about 1.0 s on loop_pcg(16384) and 0.75 s on the complete

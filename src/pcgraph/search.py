@@ -169,6 +169,8 @@ def enumerate_pcgs(n: int, max_edges: int, sizes: Iterable[int] | None = None) -
     distinct (mask, theta) edge is built once and shared by every graph
     that holds it.
     """
+    if n < 1:
+        raise ValueError(f"enumeration needs n >= 1, got n = {n}")
     if n > MAX_N:
         raise ResourceLimitError(f"enumeration supports n <= {MAX_N}")
     if max_edges > MAX_EDGES:

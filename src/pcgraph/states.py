@@ -154,7 +154,10 @@ def _check_b_terms(pcg: PCG, b_terms: Sequence[BTerm]) -> None:
                     f"{set(e.vertices)}"
                 )
     if b_terms:
-        weight = sum(abs(t.lam) ** 2 for t in b_terms)
+        try:
+            weight = sum(abs(t.lam) ** 2 for t in b_terms)
+        except OverflowError:  # a finite lambda too large to square
+            weight = math.inf
         if abs(weight - 1.0) > NORM_TOL:
             raise StateConditionError(f"b-term weights sum to {weight}, expected 1")
 
@@ -168,15 +171,18 @@ def build_state(pcg: PCG, alpha: complex = 1.0, b_terms: Sequence[BTerm] = ()) -
     beta = sqrt(1-|alpha|^2) taken real and non-negative.
     """
     a = complex(alpha)
-    mag = abs(a)
+    try:
+        mag = abs(a)
+    except OverflowError:  # finite parts whose modulus is past the largest float
+        mag = math.inf
+    if mag > 1 + NORM_TOL:
+        raise StateConditionError(f"|alpha| = {mag} exceeds 1")
     scale = a / math.sqrt(pcg.p + 1)
     if not abs(scale) >= PRUNE_TOL:  # the graph component would be pruned (or is NaN)
         raise StateConditionError(
             f"|alpha|/sqrt(p+1) = {abs(scale)} is below {PRUNE_TOL}, so the state "
             "would keep no graph component"
         )
-    if mag > 1 + NORM_TOL:
-        raise StateConditionError(f"|alpha| = {mag} exceeds 1")
     b_terms = tuple(b_terms)
     if not b_terms and abs(mag - 1.0) > NORM_TOL:
         raise StateConditionError("|alpha| < 1 needs b-terms to complete the state")
@@ -242,8 +248,7 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
             if entry[1] & mask == want:
                 found.append(entry)
         free ^= low
-    if len(found) > 1:
-        found.sort()
+    found.sort()
     amps = state.amplitudes
     return {k: amps[k] for _, k in found}
 
@@ -265,11 +270,7 @@ def project_z(
         matching = _matching_mask(state, assignment, 0)
     else:
         matching = _matching(state, assignment)
-    if len(matching) == 2:  # verify's per-edge case; the same sum as below, with no frame
-        a, b = matching.values()
-        prob = abs(a) ** 2 + abs(b) ** 2
-    else:
-        prob = sum([abs(a) ** 2 for a in matching.values()])
+    prob = sum([abs(a) ** 2 for a in matching.values()])
     if prob <= 0.0:
         return 0.0, None
     scale = 1 / math.sqrt(prob)
@@ -285,14 +286,11 @@ def project_z(
     return prob, SparseState(state.n, state.d, post)
 
 
-def _apply_shift(amps: dict[int, complex], shift: int | frozenset[int], d: int) -> dict[int, complex]:
-    """Apply X (|m> -> |m-1 mod d>) on every site of ``shift``, a site mask
-    when d = 2 and a set of sites otherwise; a key bijection."""
-    if d == 2:
-        return {k ^ shift: a for k, a in amps.items()}
+def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dict[int, complex]:
+    """Apply X (|m> -> |m-1 mod d>) on every qudit site of ``sites``; a key bijection."""
     # Each digit steps down by one, so the key drops by every place, and a
     # digit 0 wraps to d-1, which adds d times its place back.
-    places = [d ** (s - 1) for s in shift]
+    places = [d ** (s - 1) for s in sites]
     total = sum(places)
     shifted = {}
     for k, a in amps.items():
@@ -346,19 +344,19 @@ def x_product_distribution(
             raise ValueError("Y basis is defined for qubits only")
         amps = {k: a * (-1j) ** (k & shift).bit_count() for k, a in amps.items()}
     # Moments phi_m = <psi| W^m |psi> determine the spectral weights.
-    if len(amps) == 2:  # verify's per-edge case; the same sums as below, with no frames
-        (k0, a0), (k1, a1) = amps.items()
-        moments, current = [0j + a0.conjugate() * a0 + a1.conjugate() * a1], amps
-        for _ in range(1, d):
-            current = _apply_shift(current, shift, d)
-            moment = 0j
-            if k0 in current:
-                moment += a0.conjugate() * current[k0]
-            if k1 in current:
-                moment += a1.conjugate() * current[k1]
-            moments.append(moment)
+    moment = 0j
+    for a in amps.values():
+        moment += a.conjugate() * a
+    moments = [moment]
+    if d == 2:  # W is an involution: phi_1 pairs each key with its partner k ^ shift
+        moment = 0j
+        for k, a in amps.items():
+            partner = amps.get(k ^ shift)
+            if partner is not None:
+                moment += a.conjugate() * partner
+        moments.append(moment)
     else:
-        moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
+        current = amps
         for _ in range(1, d):
             current = _apply_shift(current, shift, d)
             moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))

@@ -388,18 +388,22 @@ def test_cross_check_divergence_exit_code(capsys, monkeypatch, triangle_file):
 
 def test_non_real_spectral_weight_exits_3_without_traceback(capsys, monkeypatch, triangle_file):
     import pcgraph.states
-    from pcgraph import CrossCheckError, build_state, x_product_distribution
+    from pcgraph import CrossCheckError, build_qudit_family, build_state, x_product_distribution
     from pcgraph.catalog import triangle_pcg
 
-    def corrupted_shift(amps, sites, d):  # moves nothing, multiplies by i
-        return {k: 1j * a for k, a in amps.items()}
+    rows = pcgraph.states._inverse_root_rows
 
-    monkeypatch.setattr(pcgraph.states, "_apply_shift", corrupted_shift)
-    with pytest.raises(CrossCheckError, match="non-real spectral weight"):
+    def corrupted_rows(d):  # every spectral weight comes out times i
+        return tuple(tuple(1j * w for w in row) for row in rows(d))
+
+    monkeypatch.setattr(pcgraph.states, "_inverse_root_rows", corrupted_rows)
+    with pytest.raises(CrossCheckError, match=r"non-real spectral weight .* over sites \[1, 2\] \(d=2\)"):
         x_product_distribution(build_state(triangle_pcg()), [1, 2])
+    with pytest.raises(CrossCheckError, match=r"non-real spectral weight .* over sites \[1, 2, 3\] \(d=3\)"):
+        x_product_distribution(build_qudit_family(3), [1, 2, 3])
     for argv in (["simulate", triangle_file, "--observable", "X:1,2"], ["verify", triangle_file]):
         code, _, err = run(capsys, *argv)
-        assert code == 3
+        assert code == 3 and err.count("\n") == 1
         assert "internal cross-check divergence: non-real spectral weight" in err
         assert "Traceback" not in err
 
@@ -476,6 +480,12 @@ def test_search_workers_below_one_exit_1(capsys):
     code, out, err = run(capsys, "search", "--n", "3", "--max-edges", "2", "--workers", "2")
     assert code == 1 and out == ""
     assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_search_n_below_one_exit_1_naming_n(capsys, n):
+    assert run(capsys, "search", "--n", n, "--max-edges", "2") == (
+        1, "", f"error: enumeration needs n >= 1, got n = {n}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -580,6 +590,31 @@ def test_alpha_that_prunes_the_graph_component_exit_2(capsys, tmp_path, command)
     code, out, err = run(capsys, command, path)
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith("validation failure: |alpha|/sqrt(p+1) = 5e-16 is below 1e-15")
+
+
+@pytest.mark.parametrize("text, message", [
+    (', "alpha": {"magnitude": 0.6}, "b_terms": [{"vertices": [1, 2, 3], '
+     '"lambda": {"re": 1e200, "im": 0}}]', "b-term weights sum to inf, expected 1"),
+    (', "alpha": {"magnitude": 0.6}, "b_terms": [{"vertices": [1, 2, 3], '
+     '"lambda": {"re": 1.7e308, "im": 1.7e308}}]', "b-term weights sum to inf, expected 1"),
+    (', "alpha": {"re": 1.7e308, "im": 1.7e308}', "|alpha| = inf exceeds 1"),
+], ids=["lambda-square-overflows", "lambda-modulus-overflows", "alpha-modulus-overflows"])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_finite_numbers_whose_modulus_overflows_exit_2_with_one_line(capsys, tmp_path, command, text, message):
+    path = _triangle_with(tmp_path, "huge.json", text)
+    assert run(capsys, command, path) == (2, "", f"validation failure: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "export", "minimal-psi", "-o", "{target}"],
+    ["export", "{triangle}", "--dot", "-o", "{target}"],
+])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path, triangle_file, argv, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    argv = [a.format(target=target, triangle=triangle_file) for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: cannot write {target}: {reason}\n")
 
 
 def test_success_off_the_formula_exits_3(capsys, monkeypatch, psi_file):
