@@ -172,28 +172,30 @@ def _run_within_contract(argv):
     assert elapsed < CASE_SECONDS, (argv, elapsed)
 
 
+def _write_instance(workdir: str, instance) -> str:
+    path = Path(workdir) / "instance.json"
+    path.write_text(json.dumps(instance))
+    return str(path)
+
+
 @FUZZ
 @given(states(), st.sampled_from(["verify", "simulate"]), st.booleans())
 def test_cli_main_keeps_its_exit_code_contract_on_generated_states(instance, command, as_json):
     with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "instance.json"
-        path.write_text(json.dumps(instance))
-        _run_within_contract([command, str(path)] + ["--json"] * as_json)
+        _run_within_contract([command, _write_instance(workdir, instance)] + ["--json"] * as_json)
 
 
 @FUZZ
 @given(mutated_graphs(), st.data())
 def test_cli_main_keeps_its_exit_code_contract_on_broken_instance_files(instance, data):
     with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "instance.json"
-        path.write_text(json.dumps(instance))
-        _run_within_contract(data.draw(file_argvs(str(path), str(Path(workdir) / "out.dot"))))
+        path = _write_instance(workdir, instance)
+        _run_within_contract(data.draw(file_argvs(path, str(Path(workdir) / "out.dot"))))
 
 
 @FUZZ
 @given(st.data())
 def test_cli_main_keeps_its_exit_code_contract_on_other_argv(data):
     with tempfile.TemporaryDirectory() as workdir:
-        file = Path(workdir) / "instance.json"
-        file.write_text(json.dumps({"n": 3, "edges": [{"vertices": v, "theta": 1} for v in VALID_EDGE_SETS[0]]}))
-        _run_within_contract(data.draw(other_argvs(workdir, str(file))))
+        triangle = {"n": 3, "edges": [{"vertices": v, "theta": 1} for v in VALID_EDGE_SETS[0]]}
+        _run_within_contract(data.draw(other_argvs(workdir, _write_instance(workdir, triangle))))

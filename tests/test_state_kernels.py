@@ -219,29 +219,58 @@ def test_x_and_y_distributions_match_dense(case):
         assert x_product_distribution(state, mask, basis="Y") == dist_y
 
 
-@settings(max_examples=150, deadline=None)
-@given(sparse_states(), st.data())
-def test_two_key_kernels_sum_like_the_general_path(state, data):
+def _assert_kernels_sum_like_builtin_sums(state, sites: frozenset[int]) -> None:
     """The kernels' plain loops must add the same terms in the same order as
-    builtin sums over a shifted copy of the state, bit for bit, at every key
-    count (two keys being verify's per-edge case)."""
+    builtin sums over a shifted copy of the state, bit for bit."""
     amps = state.amplitudes
     prob, post = project_z(state, {})
     assert prob == sum([abs(a) ** 2 for a in amps.values()])
     scale = 1 / math.sqrt(prob)
     assert _bit_listing(post.amplitudes) == _bit_listing({k: a * scale for k, a in amps.items()})
-    sites = frozenset(data.draw(st.sets(st.integers(1, state.n), min_size=1)))
     d = state.d
     mask = site_mask(sites)
-    moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
-    for _ in range(1, d):
-        current = {k ^ mask: a for k, a in current.items()} if d == 2 else _apply_shift(current, sites, d)
-        moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
-    expected = {}
-    for j, row in enumerate(_inverse_root_rows(d)):
-        val = sum(map(mul, row, moments)) / d
-        expected[j] = val.real if val.real > 0.0 else 0.0
-    assert x_product_distribution(state, sites) == expected
+
+    def builtin_sums(amps):
+        moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
+        for _ in range(1, d):
+            current = {k ^ mask: a for k, a in current.items()} if d == 2 else _apply_shift(current, sites, d)
+            moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
+        expected = {}
+        for j, row in enumerate(_inverse_root_rows(d)):
+            val = sum(map(mul, row, moments)) / d
+            expected[j] = val.real if val.real > 0.0 else 0.0
+        return expected
+
+    assert x_product_distribution(state, sites) == builtin_sums(amps)
+    if d == 2:
+        rotated = {k: a * (-1j) ** (k & mask).bit_count() for k, a in amps.items()}
+        assert x_product_distribution(state, sites, basis="Y") == builtin_sums(rotated)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(), st.data())
+def test_two_key_kernels_sum_like_the_general_path(state, data):
+    """At every key count (two keys being verify's per-edge case)."""
+    _assert_kernels_sum_like_builtin_sums(
+        state, frozenset(data.draw(st.sets(st.integers(1, state.n), min_size=1))))
+
+
+def test_kernels_sum_like_builtin_sums_on_seeded_partnered_states():
+    """Gaussian amplitudes, whose sums round differently in another order, on
+    states where many keys meet their X partner."""
+    rng = random.Random(29)
+    for _ in range(300):
+        d = rng.choice((2, 2, 3, 4))
+        n = rng.randint(2, 6 if d == 2 else 3)
+        sites = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        mask = site_mask(sites)
+        keys = {rng.randrange(d ** n) for _ in range(rng.randint(1, 6))}
+        if d == 2:
+            keys |= {k ^ mask for k in keys}
+        amps = {k: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for k in keys}
+        scale = 1 / math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+        state = SparseState._from_keys(n, d, {k: a * scale for k, a in amps.items()})
+        _assert_kernels_sum_like_builtin_sums(state, sites)
 
 
 @settings(max_examples=150, deadline=None)
