@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -450,6 +451,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed early, e.g. `| head -1`
+        try:  # so that the flush at interpreter exit writes nowhere, quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stream with no descriptor, such as a test capture
+            pass
+        return 1
     except PcgFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

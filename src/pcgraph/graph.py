@@ -24,7 +24,8 @@ from .gf2 import back_substitute, eliminate
 DEFAULT_CENSUS_CAP = 24
 # The blocked census keeps process RSS flat (about 20 MB at n = 24..30).
 # Where no subtree of its walk can be skipped, its time doubles per
-# vertex: 0.10 s at n = 30 on a 2-CPU host.
+# vertex: about 20 ms at n = 30 on a 2-CPU host, for a star whose hub is
+# vertex 17, the first high digit, so every group is ANDed at the leaves.
 MAX_CENSUS_CAP = 30
 # A census block covers at most 2^16 assignments, so a table is at most 8 KB.
 CENSUS_BLOCK_BITS = 16

@@ -286,22 +286,6 @@ def project_z(
     return prob, SparseState(state.n, state.d, post)
 
 
-def _apply_shift(amps: dict[int, complex], sites: frozenset[int], d: int) -> dict[int, complex]:
-    """Apply X (|m> -> |m-1 mod d>) on every qudit site of ``sites``; a key bijection."""
-    # Each digit steps down by one, so the key drops by every place, and a
-    # digit 0 wraps to d-1, which adds d times its place back.
-    places = [d ** (s - 1) for s in sites]
-    total = sum(places)
-    shifted = {}
-    for k, a in amps.items():
-        wrapped = 0
-        for p in places:
-            if not k // p % d:
-                wrapped += p
-        shifted[k - total + d * wrapped] = a
-    return shifted
-
-
 @lru_cache(maxsize=8)  # d = 2..7 fit; the rows for any d take O(d^2) memory
 def _inverse_root_rows(d: int) -> tuple[tuple[complex, ...], ...]:
     """Row j holds omega(d) ** (-j*m) for m = 0..d-1."""
@@ -319,7 +303,8 @@ def x_product_distribution(
     keyed by the power j, so j=0 is +1 and j=1 is -1 when d=2.  For
     qubits ``sites`` may instead be a nonzero site mask (bit v-1 for
     site v).  Basis "Y" (qubits only) conjugates each measured site by
-    diag(1, -i) before the same evaluation.
+    diag(1, -i) before the same evaluation.  At every d, each moment looks
+    up every key's partner in the state's own dict; no shifted copy is built.
     """
     d = state.d
     if isinstance(sites, int):
@@ -355,11 +340,21 @@ def x_product_distribution(
             if partner is not None:
                 moment += a.conjugate() * partner
         moments.append(moment)
-    else:
-        current = amps
-        for _ in range(1, d):
-            current = _apply_shift(current, shift, d)
-            moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
+    else:  # W^-m raises each listed digit by m, so a digit >= d - m wraps by d
+        places = [d ** (s - 1) for s in shift]
+        total = sum(places)
+        terms: list[list[complex]] = [[] for _ in range(1, d)]
+        for k, a in amps.items():
+            held = [0] * d  # held[v]: the sum of the listed places whose digit is v
+            for p in places:
+                held[k // p % d] += p
+            wrapped = 0
+            for m in range(1, d):
+                wrapped += held[d - m]
+                partner = amps.get(k + m * total - d * wrapped)
+                if partner is not None:
+                    terms[m - 1].append(a.conjugate() * partner)
+        moments += map(sum, terms)
     dist: dict[int, float] = {}
     for j, row in enumerate(_inverse_root_rows(d)):
         val = sum(map(mul, row, moments)) / d

@@ -557,6 +557,45 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_reader_closing_early_exits_1_without_a_traceback(tmp_path, command):
+    import pcgraph
+    from pcgraph.catalog import loop_pcg
+    from pcgraph.fileio import PcgFile, dump_pcg_file
+
+    if command == "search":  # about 770 KB of JSON
+        argv = ["search", "--n", "5", "--max-edges", "5"]
+    else:  # about 510 KB of JSON, far past a pipe's buffer
+        path = tmp_path / "loop.json"
+        dump_pcg_file(PcgFile(loop_pcg(2000)), path)
+        argv = ["verify", str(path), "--json"]
+    src = str(Path(pcgraph.__file__).resolve().parents[1])
+    code = "import sys; from pcgraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_closed_pipe_on_a_stream_without_a_descriptor_exits_1(capsys, monkeypatch):
+    from pcgraph import cli
+
+    def closed(*_):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "enumerate_pcgs", closed)
+    assert run(capsys, "search", "--n", "4", "--max-edges", "3") == (1, "", "")
+
+
 def _triangle_with(tmp_path, name, text):
     """An all-red triangle file with extra top-level fields, spelled as raw JSON."""
     path = tmp_path / name

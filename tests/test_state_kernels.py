@@ -26,9 +26,10 @@ from pcgraph.catalog import loop_pcg, triangle_pcg
 from pcgraph.graph import site_mask
 from pcgraph.states import (
     MAX_SHOTS,
-    _apply_shift,
+    QUDIT_FAMILY_MAX_D,
     _inverse_root_rows,
     _matching_mask,
+    build_qudit_family,
     parse_key,
     render_key,
 )
@@ -219,6 +220,18 @@ def test_x_and_y_distributions_match_dense(case):
         assert x_product_distribution(state, mask, basis="Y") == dist_y
 
 
+def _shifted_copy(amps: dict[int, complex], sites: frozenset[int], d: int) -> dict[int, complex]:
+    """X (|m> -> |m-1 mod d>) on every listed qudit site, as a new dict: each
+    digit steps down by one, and a digit 0 wraps to d-1."""
+    places = [d ** (s - 1) for s in sites]
+    total = sum(places)
+    shifted = {}
+    for k, a in amps.items():
+        wrapped = sum(p for p in places if not k // p % d)
+        shifted[k - total + d * wrapped] = a
+    return shifted
+
+
 def _assert_kernels_sum_like_builtin_sums(state, sites: frozenset[int]) -> None:
     """The kernels' plain loops must add the same terms in the same order as
     builtin sums over a shifted copy of the state, bit for bit."""
@@ -233,7 +246,7 @@ def _assert_kernels_sum_like_builtin_sums(state, sites: frozenset[int]) -> None:
     def builtin_sums(amps):
         moments, current = [sum([a.conjugate() * a for a in amps.values()])], amps
         for _ in range(1, d):
-            current = {k ^ mask: a for k, a in current.items()} if d == 2 else _apply_shift(current, sites, d)
+            current = {k ^ mask: a for k, a in current.items()} if d == 2 else _shifted_copy(current, sites, d)
             moments.append(sum([a.conjugate() * current[k] for k, a in amps.items() if k in current]))
         expected = {}
         for j, row in enumerate(_inverse_root_rows(d)):
@@ -257,10 +270,16 @@ def test_two_key_kernels_sum_like_the_general_path(state, data):
 
 def test_kernels_sum_like_builtin_sums_on_seeded_partnered_states():
     """Gaussian amplitudes, whose sums round differently in another order, on
-    states where many keys meet their X partner."""
+    states where many keys meet their X partner, and the qudit family's post
+    states, whose keys meet theirs at every power."""
+    for d in range(2, QUDIT_FAMILY_MAX_D + 1):
+        family = build_qudit_family(d)
+        for j in range(1, d + 2):
+            _, post = project_z(family, {j: 0})
+            _assert_kernels_sum_like_builtin_sums(post, frozenset(range(1, d + 2)) - {j})
     rng = random.Random(29)
     for _ in range(300):
-        d = rng.choice((2, 2, 3, 4))
+        d = rng.choice((2, 2, 3, 4, 5, 6, 7))
         n = rng.randint(2, 6 if d == 2 else 3)
         sites = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
         mask = site_mask(sites)
