@@ -132,21 +132,31 @@ def test_simulate_condition_spellings(capsys, psi_file):
     assert abs(json.loads(out)["condition"]["probability"] - 0.75) < 1e-9
 
 
-@pytest.mark.parametrize("args,expected", [
-    ([], "state has 4 nonzero amplitudes\n  |000> +0.500000000+0.000000000i\n"
-         "  |011> -0.500000000+0.000000000i\n  |101> -0.500000000+0.000000000i\n"
-         "  |110> -0.500000000+0.000000000i\n"),
-    (["--condition", "Z1=1", "--observable", "X:2,3"],
+@pytest.mark.parametrize("instance,args,expected", [
+    ("triangle_file", [], "state has 4 nonzero amplitudes\n  |000> +0.500000000+0.000000000i\n"
+     "  |011> -0.500000000+0.000000000i\n  |101> -0.500000000+0.000000000i\n"
+     "  |110> -0.500000000+0.000000000i\n"),
+    ("triangle_file", ["--condition", "Z1=1", "--observable", "X:2,3"],
      "P(condition) = 0.5\nP(X product over [2, 3] = +1) = 0\nP(X product over [2, 3] = -1) = 1\n"),
-    (["--condition", "Z1=-1,Z2=-1,Z3=-1", "--observable", "X:2,3"],
+    ("triangle_file", ["--condition", "Z1=-1,Z2=-1,Z3=-1", "--observable", "X:2,3"],
      "P(condition) = 0\nconditioned state is empty\n"),
-    (["--observable", "Z:1,2=-1"], "P(all Z sites [1, 2] -> digit 1) = 0.25\n"),
-    (["--observable", "X:1,2", "--shots", "5", "--seed", "1"],
+    ("triangle_file", ["--observable", "Z:1,2=-1"], "P(all Z sites [1, 2] -> digit 1) = 0.25\n"),
+    ("triangle_file", ["--observable", "X:1,2", "--shots", "5", "--seed", "1"],
      "P(X product over [1, 2] = +1) = 0.5\nP(X product over [1, 2] = -1) = 0.5\n"
      "sampled counts (5 shots): {'000': 1, '011': 2, '110': 2}\n"),
-], ids=["state", "condition-x", "empty-condition", "joint-z", "x-shots"])
-def test_simulate_text_lines(capsys, triangle_file, args, expected):
-    assert run(capsys, "simulate", triangle_file, *args)[:2] == (0, expected)
+    ("psi_file", ["--observable", "Y:1,2"],
+     "P(Y product over [1, 2] = +1) = 0.75\nP(Y product over [1, 2] = -1) = 0.25\n"),
+    ("psi_file", ["--condition", "Z1=1"], "P(condition) = 0.25\n"),
+    ("psi_file", ["--condition", "Z1=1", "--shots", "20", "--seed", "1"],
+     "P(condition) = 0.25\nsampled counts (20 shots): {'000': 11, '011': 9}\n"),
+    ("psi_file", [], "state has 5 nonzero amplitudes\n  |000> +0.353553391+0.000000000i\n"
+     "  |011> -0.353553391+0.000000000i\n  |101> -0.353553391+0.000000000i\n"
+     "  |110> -0.353553391+0.000000000i\n  |111> +0.707106781+0.000000000i\n"),
+], ids=["state", "condition-x", "empty-condition", "joint-z", "x-shots",
+        "psi-y-pair", "psi-condition", "psi-condition-shots", "psi-state"])
+def test_simulate_text_lines(capsys, request, instance, args, expected):
+    path = request.getfixturevalue(instance)
+    assert run(capsys, "simulate", path, *args)[:2] == (0, expected)
 
 
 def test_simulate_sampler_is_seeded(capsys, triangle_file):
