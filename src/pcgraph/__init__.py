@@ -25,7 +25,6 @@ from .graph import (
     ValidationReport,
     Violation,
     brute_force_colorings,
-    from_adjacency_map,
     is_colorable,
     irreducibility_status,
     is_irreducible,
@@ -97,7 +96,6 @@ __all__ = [
     "classify",
     "dump_pcg_file",
     "enumerate_pcgs",
-    "from_adjacency_map",
     "from_json_dict",
     "irreducibility_status",
     "is_colorable",

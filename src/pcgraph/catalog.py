@@ -13,8 +13,8 @@ from itertools import combinations
 from typing import Callable, Mapping
 
 from .errors import CatalogKeyError
-from .graph import PCG, from_adjacency_map
-from .states import BTerm
+from .graph import PCG
+from .states import QUDIT_FAMILY_MAX_D, BTerm
 
 
 def triangle_pcg(theta: int = 1) -> PCG:
@@ -84,8 +84,9 @@ def magic_m8_pcg() -> PCG:
 
 
 def map_four_regions_pcg() -> PCG:
-    """Four mutually adjacent map regions; same structure as the 2x2 grid."""
-    return from_adjacency_map(4, list(combinations(range(1, 5), 2)))
+    """Four mutually adjacent map regions, one red pair edge per border (each
+    pair of neighbours must differ); the same graph as the 2x2 grid."""
+    return PCG.build(4, [(pair, +1) for pair in combinations(range(1, 5), 2)])
 
 
 def _integer(name: str, value) -> int:
@@ -287,8 +288,8 @@ def _entry_map_four_regions() -> CatalogEntry:
 
 def _entry_qudit(d: int = 3) -> CatalogEntry:
     d = _integer("d", d)
-    if not 2 <= d <= 7:
-        raise CatalogKeyError("qudit supports 2 <= d <= 7")
+    if not 2 <= d <= QUDIT_FAMILY_MAX_D:
+        raise CatalogKeyError(f"qudit supports 2 <= d <= {QUDIT_FAMILY_MAX_D}")
     return CatalogEntry(
         id="qudit",
         description="(d+1) qudits, d boxes: every leave-one-out product is omega.",

@@ -168,31 +168,7 @@ def cmd_simulate(args) -> int:
     instance = load_pcg_file(args.file)
     state = build_state(instance.pcg, instance.alpha, instance.b_terms)
     payload: dict = {}
-
-    def human() -> str:
-        # Reads the payload and the observable parsed below; the keys
-        # present say which parts ran.
-        lines = []
-        if "condition" in payload:
-            lines.append(f"P(condition) = {payload['condition']['probability']:.12g}")
-        if "post_state" in payload:
-            return "\n".join(lines + ["conditioned state is empty"])
-        if "distribution" in payload:  # instance files hold qubits, so powers 0 and 1
-            for power, prob in payload["distribution"].items():
-                sign = "-1" if power == "1" else "+1"
-                lines.append(f"P({letter} product over {sites} = {sign}) = {prob:.12g}")
-        if "joint_probability" in payload:
-            lines.append(f"P(all Z sites {sites} -> digit {digit}) = "
-                         f"{payload['joint_probability']:.12g}")
-        if "state" in payload:
-            amps = payload["state"]
-            lines.append(f"state has {len(amps)} nonzero amplitudes")
-            for k, a in amps.items():
-                lines.append(f"  |{k}> {a['re']:+.9f}{a['im']:+.9f}i")
-        if "sampled_counts" in payload:
-            lines.append(f"sampled counts ({args.shots} shots): {payload['sampled_counts']}")
-        return "\n".join(lines)
-
+    lines: list[str] = []
     if args.condition:
         assignment = _parse_condition(args.condition)
         prob, post = project_z(state, assignment)
@@ -200,9 +176,11 @@ def cmd_simulate(args) -> int:
             "assignment": {str(k): v for k, v in sorted(assignment.items())},
             "probability": prob,
         }
+        lines.append(f"P(condition) = {prob:.12g}")
         if post is None:
             payload["post_state"] = None
-            _emit(payload, args.json, human)
+            lines.append("conditioned state is empty")
+            _emit(payload, args.json, lambda: "\n".join(lines))
             return 0
         state = post
     if args.observable:
@@ -210,17 +188,26 @@ def cmd_simulate(args) -> int:
         if letter in ("X", "Y"):
             dist = x_product_distribution(state, sites, basis=letter)
             payload["distribution"] = {str(k): v for k, v in sorted(dist.items())}
+            for power, prob in sorted(dist.items()):  # instance files hold qubits: powers 0 and 1
+                sign = "-1" if power == 1 else "+1"
+                lines.append(f"P({letter} product over {sites} = {sign}) = {prob:.12g}")
         else:
             digit = 0
             if outcome is not None:
                 digit = _parse_outcome(outcome, f"observable outcome {outcome!r}")
-            payload["joint_probability"] = joint_z_probability(state, sites, digit)
+            prob = joint_z_probability(state, sites, digit)
+            payload["joint_probability"] = prob
+            lines.append(f"P(all Z sites {sites} -> digit {digit}) = {prob:.12g}")
     elif not args.condition:
-        payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in state.listing()}
+        amps = state.listing()
+        payload["state"] = {k: {"re": a.real, "im": a.imag} for k, a in amps}
+        lines.append(f"state has {len(amps)} nonzero amplitudes")
+        lines.extend(f"  |{k}> {a.real:+.9f}{a.imag:+.9f}i" for k, a in amps)
     if args.shots is not None:
-        counts = sample_counts(state, args.shots, args.seed)
-        payload["sampled_counts"] = dict(sorted(counts.items()))
-    _emit(payload, args.json, human)
+        counts = dict(sorted(sample_counts(state, args.shots, args.seed).items()))
+        payload["sampled_counts"] = counts
+        lines.append(f"sampled counts ({args.shots} shots): {counts}")
+    _emit(payload, args.json, lambda: "\n".join(lines))
     return 0
 
 
@@ -329,7 +316,7 @@ def cmd_catalog(args) -> int:
             "id": entry.id,
             "kind": entry.kind,
             "description": entry.description,
-            "params": {k: (v if not isinstance(v, complex) else abs(v)) for k, v in entry.params.items()},
+            "params": {k: (v if not isinstance(v, complex) else v.real) for k, v in entry.params.items()},
             "expected": {
                 "colorable": entry.expected.colorable,
                 "paradox": entry.expected.paradox,

@@ -123,8 +123,13 @@ def from_json_dict(data) -> PcgFile:
     alpha = 1.0 + 0j
     if "alpha" in data:
         alpha = _parse_complex(data["alpha"], "alpha", allow_magnitude=True)
-    b_terms = [BTerm(verts, _parse_complex(lam, f"{where}.lambda"))
-               for where, verts, lam in _vertex_items(data, "b_terms", "lambda", MAX_FILE_B_TERMS)]
+    b_terms = []
+    for where, verts, lam in _vertex_items(data, "b_terms", "lambda", MAX_FILE_B_TERMS):
+        lam = _parse_complex(lam, f"{where}.lambda")
+        try:
+            b_terms.append(BTerm(verts, lam))
+        except ValueError as exc:
+            raise PcgFileError(f"{where}: {exc}") from None
     try:
         pcg = PCG(n, tuple(edges))
     except ValueError as exc:

@@ -126,28 +126,22 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Per-vertex color values, +1 for green and -1 for red."""
+    """A coloring as its red-vertex mask: bit v-1 set iff C(v) = -1 (red)."""
 
-    values: tuple[int, ...]
+    bits: int
+    n: int
 
     def __post_init__(self):
-        if any(v not in (+1, -1) for v in self.values):
-            raise ValueError("coloring values must be +1 or -1")
-
-    @classmethod
-    def from_bits(cls, bits: int, n: int) -> "Coloring":
-        return cls(tuple(1 - 2 * ((bits >> i) & 1) for i in range(n)))
+        if self.bits < 0 or self.bits >> self.n:
+            raise ValueError(f"coloring mask {self.bits:#b} has a bit outside vertices 1..{self.n}")
 
     @property
-    def bits(self) -> int:
-        out = 0
-        for i, v in enumerate(self.values):
-            out |= (0 if v == 1 else 1) << i
-        return out
+    def values(self) -> tuple[int, ...]:
+        """C(v) for v = 1..n: +1 for green, -1 for red."""
+        return tuple(1 - 2 * (self.bits >> i & 1) for i in range(self.n))
 
     def satisfies(self, pcg: PCG) -> bool:
-        b = self.bits
-        return all((b & e.mask).bit_count() & 1 == e.theta_bit for e in pcg.edges)
+        return all((self.bits & e.mask).bit_count() & 1 == e.theta_bit for e in pcg.edges)
 
 
 @dataclass(frozen=True)
@@ -317,7 +311,7 @@ def is_colorable(pcg: PCG) -> ColorabilityResult:
     if any(rows[rank_a:]):
         return ColorabilityResult(False, rank_a, rank_a + 1, None)
     bits = back_substitute(rows, pivots, pcg.n)
-    return ColorabilityResult(True, rank_a, rank_a, Coloring.from_bits(bits, pcg.n))
+    return ColorabilityResult(True, rank_a, rank_a, Coloring(bits, pcg.n))
 
 
 def census(d: int, n: int, constraints: Sequence[tuple[int, int]]) -> tuple[int, int | None]:
@@ -446,7 +440,7 @@ def brute_force_colorings(pcg: PCG, cap: int = DEFAULT_CENSUS_CAP) -> ColoringCe
     if pcg.n > cap:
         raise ResourceLimitError(f"census over 2^{pcg.n} assignments exceeds cap {cap}")
     satisfying, first = census(2, pcg.n, [(e.mask, e.theta_bit) for e in pcg.edges])
-    witness = None if first is None else Coloring.from_bits(first, pcg.n)
+    witness = None if first is None else Coloring(first, pcg.n)
     return ColoringCensus(1 << pcg.n, satisfying, witness)
 
 
@@ -510,25 +504,3 @@ def is_irreducible(pcg: PCG) -> IrreducibilityResult:
         else:
             keep.append(e)
     return IrreducibilityResult("reducible", tuple(keep))
-
-
-def from_adjacency_map(regions: int, adjacency: Iterable[tuple[int, int]]) -> PCG:
-    """PCG for a map-coloring instance: one red pair edge per border.
-
-    Each adjacent pair of regions must end up with different colors,
-    which is exactly a theta = +1 constraint on the pair.
-    """
-    pairs = []
-    seen = set()
-    for a, b in adjacency:
-        if a == b:
-            raise ValueError(f"region {a} cannot border itself")
-        if not (1 <= a <= regions and 1 <= b <= regions):
-            raise ValueError(f"border ({a},{b}) outside regions 1..{regions}")
-        key = (min(a, b), max(a, b))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    pcg = PCG(regions, tuple(SignedEdge(pair, +1) for pair in sorted(pairs)))
-    require_valid(pcg)
-    return pcg

@@ -122,7 +122,9 @@ class BTerm:
     lam: complex
 
     def __post_init__(self):
-        verts = tuple(sorted(set(self.vertices)))
+        verts = tuple(sorted(self.vertices))
+        if len(set(verts)) != len(verts):
+            raise ValueError(f"b-term {verts} repeats a vertex")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "lam", complex(self.lam))
 
@@ -158,7 +160,7 @@ def _check_b_terms(pcg: PCG, b_terms: Sequence[BTerm]) -> None:
             weight = sum(abs(t.lam) ** 2 for t in b_terms)
         except OverflowError:  # a finite lambda too large to square
             weight = math.inf
-        if abs(weight - 1.0) > NORM_TOL:
+        if not abs(weight - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise StateConditionError(f"b-term weights sum to {weight}, expected 1")
 
 

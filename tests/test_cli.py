@@ -251,6 +251,15 @@ def test_catalog_list_show_export(capsys, tmp_path):
     assert abs(json.loads(out)["success"]["simulated"] - 1 / 6) < 1e-9
 
 
+@pytest.mark.parametrize("value", [-0.5, 0.5])
+def test_catalog_show_keeps_alpha_sign(capsys, value):
+    code, out, _ = run(capsys, "catalog", "show", "minimal-psi", "--params", f"alpha={value}")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["params"] == {"alpha": value}
+    assert payload["pcg"]["alpha"] in ({"re": value, "im": 0.0}, {"magnitude": value})
+
+
 def test_catalog_export_round_trip_matches_canonical_form(capsys, tmp_path):
     from pcgraph import load_pcg_file
     from pcgraph.search import canonical_form
@@ -630,6 +639,14 @@ def _triangle_with(tmp_path, name, text):
 def test_malformed_numbers_and_lists_exit_1_with_one_line(capsys, tmp_path, command, text, message):
     path = _triangle_with(tmp_path, "bad.json", text)
     assert run(capsys, command, path) == (1, "", message)
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "simulate", "verify"])
+def test_repeated_b_term_vertex_exit_1_with_one_line(capsys, tmp_path, command):
+    path = _triangle_with(tmp_path, "repeat.json", ', "alpha": {"magnitude": 0.5}, "b_terms": '
+                          '[{"vertices": [1, 1, 2, 3, 3], "lambda": {"re": 1.0, "im": 0.0}}]')
+    assert run(capsys, command, path) == (
+        1, "", "error: b_terms[0]: b-term (1, 1, 2, 3, 3) repeats a vertex\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

@@ -69,6 +69,10 @@ def test_schema_errors_name_the_field():
         from_json_dict({"n": 3, "edges": [{"vertices": [1, 2]}]})
     with pytest.raises(PcgFileError, match=r"^edges\[0\]: edge \(1, 1\) repeats a vertex$"):
         from_json_dict({"n": 3, "edges": [{"vertices": [1, 1], "theta": 1}]})
+    with pytest.raises(PcgFileError, match=r"^b_terms\[1\]: b-term \(1, 1, 2, 3, 3\) repeats a vertex$"):
+        from_json_dict({"n": 3, "edges": [], "b_terms": [
+            {"vertices": [1, 2], "lambda": {"re": 1.0, "im": 0.0}},
+            {"vertices": [1, 1, 2, 3, 3], "lambda": {"re": 1.0, "im": 0.0}}]})
     with pytest.raises(PcgFileError, match=r"^b_terms\[0\]: expected an object$"):
         from_json_dict({"n": 3, "edges": [], "b_terms": [[1, 2, 3]]})
     with pytest.raises(PcgFileError, match="^top level: expected a JSON object$"):

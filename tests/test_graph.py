@@ -13,11 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pcgraph import (
     PCG,
     Coloring,
-    PcgValidationError,
     ResourceLimitError,
     SignedEdge,
     brute_force_colorings,
-    from_adjacency_map,
     irreducibility_status,
     is_colorable,
     is_irreducible,
@@ -571,40 +569,6 @@ def test_irreducibility_status_matches_greedy_deletion(pcg):
     assert is_irreducible(pcg) == expected
 
 
-# --- from_adjacency_map ------------------------------------------------------
-
-def test_four_mutually_adjacent_regions():
-    pcg = from_adjacency_map(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert pcg.edges == magic_m4_pcg().edges
-    assert not is_colorable(pcg).colorable
-
-
-def test_adjacency_path_is_colorable():
-    pcg = from_adjacency_map(3, [(1, 2), (2, 3)])
-    assert [e.vertices for e in pcg.edges] == [(1, 2), (2, 3)]
-    assert all(e.theta == 1 for e in pcg.edges)
-    census = brute_force_colorings(pcg)
-    assert census.satisfying == 2
-
-
-def test_adjacency_two_regions_fails_size_rule():
-    # a border between only two regions leaves no vertex to condition on
-    with pytest.raises(PcgValidationError):
-        from_adjacency_map(2, [(1, 2)])
-
-
-def test_adjacency_rejects_self_border_and_range():
-    with pytest.raises(ValueError):
-        from_adjacency_map(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        from_adjacency_map(3, [(1, 4)])
-
-
-def test_adjacency_deduplicates_borders():
-    pcg = from_adjacency_map(3, [(2, 1), (1, 2), (2, 3)])
-    assert [e.vertices for e in pcg.edges] == [(1, 2), (2, 3)]
-
-
 # --- module properties --------------------------------------------------------
 
 def test_rank_criterion_agrees_with_census_randomized():
@@ -637,6 +601,10 @@ def test_sign_flip_toggles_theta_only():
 
 
 def test_coloring_bits_round_trip():
-    coloring = Coloring.from_bits(0b101, 3)
-    assert coloring.values == (-1, +1, -1)
+    coloring = Coloring(0b101, 3)
+    assert coloring.values == (-1, +1, -1)  # vertices 1 and 3 red
     assert coloring.bits == 0b101
+    with pytest.raises(ValueError):
+        Coloring(0b1000, 3)  # bit n is vertex n + 1
+    with pytest.raises(ValueError):
+        Coloring(-1, 3)

@@ -18,6 +18,7 @@ from pcgraph import (
     project_z,
     qubit_product_state,
     sample_counts,
+    verify,
     x_product_distribution,
 )
 from pcgraph.catalog import loop_pcg, triangle_pcg
@@ -111,6 +112,21 @@ def test_b_term_conditions_report_offender():
         build_state(triangle_pcg(), SQ2, [BTerm((1, 2, 3), SQ2), BTerm((1, 2, 3), SQ2)])
     with pytest.raises(StateConditionError, match="sum"):
         build_state(triangle_pcg(), SQ2, [BTerm((1, 2, 3), 0.5)])
+
+
+def test_b_term_refuses_a_repeated_vertex():
+    with pytest.raises(ValueError, match=r"^b-term \(1, 1, 2, 3, 3\) repeats a vertex$"):
+        BTerm((1, 1, 2, 3, 3), 1.0)
+    assert BTerm((3, 1, 2), 1.0).vertices == (1, 2, 3)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.6])
+def test_nan_b_term_weight_is_refused(alpha):
+    # a NaN weight compares false against the tolerance both ways, so the
+    # check must be written to fail it
+    for run in (build_state, verify):
+        with pytest.raises(StateConditionError, match="b-term weights sum to nan"):
+            run(triangle_pcg(), alpha, [BTerm((1, 2, 3), math.nan)])
 
 
 def test_sparse_state_validates_keys_and_norm():

@@ -550,9 +550,9 @@ def test_flipped_witness_bit_raises_cross_check_error(monkeypatch):
     pcg = _colorable_pcg()
     decision = verify_mod.is_colorable(pcg)
     for v in range(pcg.n):
-        values = list(decision.witness.values)
-        values[v] = -values[v]
-        flipped = ColorabilityResult(True, decision.rank_a, decision.rank_b, Coloring(tuple(values)))
+        witness = Coloring(decision.witness.bits ^ 1 << v, pcg.n)
+        values = list(witness.values)
+        flipped = ColorabilityResult(True, decision.rank_a, decision.rank_b, witness)
         monkeypatch.setattr(verify_mod, "is_colorable", lambda g: flipped)
         with pytest.raises(CrossCheckError, match=pcg_digest(pcg)) as info:
             verify(pcg, lhv_cap=0)
