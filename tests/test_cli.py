@@ -745,8 +745,13 @@ def test_integral_float_catalog_param_reads_as_integer(capsys):
     (["--observable", "X:1,1"], "observable 'X:1,1': site 1 listed twice"),
     (["--observable", "Y:2,1,2"], "observable 'Y:2,1,2': site 2 listed twice"),
     (["--observable", "Z:3,3=-1"], "observable 'Z:3,3=-1': site 3 listed twice"),
+    (["--condition", "Z4=1"], "site 4 out of range 1..3"),
+    (["--condition", "Z0=1"], "site 0 out of range 1..3"),
+    (["--observable", "Z:1,4"], "site 4 out of range 1..3"),
+    (["--observable", "X:0,1"], "site 0 out of range 1..3"),
 ], ids=["outcome", "letter", "site", "twice", "no-colon", "observable-letter", "x-outcome",
-        "site-list", "empty-sites", "x-twice", "y-twice", "z-twice"])
+        "site-list", "empty-sites", "x-twice", "y-twice", "z-twice",
+        "condition-above", "condition-below", "z-above", "x-below"])
 def test_bad_condition_and_observable_exit_1_with_one_line(capsys, triangle_file, argv, message):
     assert run(capsys, "simulate", triangle_file, *argv) == (1, "", f"error: {message}\n")
 
