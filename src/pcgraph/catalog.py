@@ -83,12 +83,6 @@ def magic_m8_pcg() -> PCG:
     return PCG.build(8, [(pair, +1) for pair in combinations(range(1, 9), 2)])
 
 
-def map_four_regions_pcg() -> PCG:
-    """Four mutually adjacent map regions, one red pair edge per border (each
-    pair of neighbours must differ); the same graph as the 2x2 grid."""
-    return PCG.build(4, [(pair, +1) for pair in combinations(range(1, 5), 2)])
-
-
 def _integer(name: str, value) -> int:
     """An integer parameter; a float must be integral (so finite): 5.0 reads as 5."""
     if isinstance(value, float) and not value.is_integer():
@@ -281,7 +275,7 @@ def _entry_map_four_regions() -> CatalogEntry:
             "Map with four mutually adjacent regions.  The quantum certainties "
             "force a proper 2-coloring of a map that needs four colors."
         ),
-        pcg=map_four_regions_pcg(),
+        pcg=magic_m4_pcg(),  # one red pair edge per border: neighbours must differ
         expected=Expected(colorable=False, paradox=True, success_probability=1 / 7),
     )
 
