@@ -79,10 +79,10 @@ class SparseState:
         for key, amp in amps.items():
             if not 0 <= key < size:
                 raise ValueError(f"basis key {key} is outside 0..{d}^{n}-1")
-            if abs(amp) >= PRUNE_TOL:
+            if not abs(amp) < PRUNE_TOL:  # written so that NaN is kept
                 cleaned[key] = complex(amp)
         norm2 = sum([abs(a) ** 2 for a in cleaned.values()])
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # written so that NaN fails
             raise ValueError(f"state norm^2 = {norm2} is not 1 within {NORM_TOL}")
         return cls(n, d, cleaned)
 
@@ -280,10 +280,10 @@ def project_z(
     norm2 = 0.0
     for k, a in matching.items():
         a *= scale
-        if abs(a) >= PRUNE_TOL:
+        if not abs(a) < PRUNE_TOL:  # written so that NaN is kept
             post[k] = a
             norm2 += abs(a) ** 2
-    if abs(norm2 - 1.0) > NORM_TOL:
+    if not abs(norm2 - 1.0) <= NORM_TOL:  # written so that NaN fails
         raise ValueError(f"state norm^2 = {norm2} is not 1 within {NORM_TOL}")
     return prob, SparseState(state.n, state.d, post)
 

@@ -138,6 +138,14 @@ def test_sparse_state_validates_keys_and_norm():
         SparseState.from_amplitudes(2, {"00": 0.5})
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_nan_amplitude_is_refused_not_pruned(d):
+    # NaN compares false against the prune threshold, so the prune test must
+    # keep it for the norm check to see it
+    with pytest.raises(ValueError, match=r"^state norm\^2 = nan is not 1 within "):
+        SparseState.from_amplitudes(1, {"0": 1.0, "1": math.nan}, d=d)
+
+
 # --- project_z ----------------------------------------------------------------
 
 def test_project_minimal_on_first_site():
