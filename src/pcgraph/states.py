@@ -23,7 +23,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -200,42 +199,45 @@ def build_state(pcg: PCG, alpha: complex = 1.0, b_terms: Sequence[BTerm] = ()) -
     return SparseState._from_keys(pcg.n, 2, amps)
 
 
-def _matching(state: SparseState, assignment: Mapping[int, int]) -> dict[int, complex]:
-    """The amplitudes whose Z digits agree with ``assignment`` (site -> digit)."""
+def _site_digits(state: SparseState, assignment: Mapping[int, int]) -> tuple[int, int]:
+    """The site mask and wanted key of a range-checked site -> digit map."""
+    d = state.d
+    mask = want = 0
     for site, digit in assignment.items():
         if not 1 <= site <= state.n:
             raise ValueError(f"site {site} out of range 1..{state.n}")
-        if not 0 <= digit < state.d:
-            raise ValueError(f"digit {digit} out of range for d={state.d}")
-    if state.d == 2:
-        return _matching_mask(state, site_mask(assignment),
-                              site_mask(compress(assignment, assignment.values())))
-    d = state.d
-    places = [(d ** (site - 1), digit) for site, digit in assignment.items()]
-    matching = {}
-    for k, a in state.amplitudes.items():
-        for place, digit in places:
-            if k // place % d != digit:
-                break
-        else:
-            matching[k] = a
-    return matching
+        if not 0 <= digit < d:
+            raise ValueError(f"digit {digit} out of range for d={d}")
+        mask |= 1 << site - 1
+        if digit:
+            want += digit * d ** (site - 1)
+    return mask, want
 
 
-def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, complex]:
-    """The qubit amplitudes whose key agrees with ``want`` (a subset of
-    ``mask``) on the bits of ``mask``.
+def _matching(state: SparseState, mask: int, want: int) -> dict[int, complex]:
+    """The amplitudes whose key agrees with ``want`` (a key with digits only
+    at the sites of ``mask``) at every site of ``mask``, in the state's key order.
 
-    A matching key other than 0 has its lowest set bit at want's lowest
-    bit, or at a free site (one outside ``mask``) below it; with
+    A matching qubit key other than 0 has its lowest set bit at want's
+    lowest bit, or at a free site (one outside ``mask``) below it; with
     ``want = 0``, at any free site.  So only those buckets of the key
-    index are visited, each key in them is tested against ``mask``, and
-    the matches come back in the state's own key order.
+    index are visited, and each key in them is tested against ``mask``.
+    A qudit key is tested digit by digit at the masked places.
     """
-    if state.d != 2:
-        raise ValueError(f"a site mask conditions qubits only, got d={state.d}")
     if mask < 0 or mask >> state.n:
         raise ValueError(f"site mask {mask:#x} has sites outside 1..{state.n}")
+    amps = state.amplitudes
+    d = state.d
+    if d != 2:
+        places = [(p, want // p % d) for p in (d ** (v - 1) for v in mask_vertices(mask))]
+        matching = {}
+        for k, a in amps.items():
+            for place, digit in places:
+                if k // place % d != digit:
+                    break
+            else:
+                matching[k] = a
+        return matching
     if want:
         first = want & -want
         free = (first - 1) & ~mask
@@ -251,7 +253,6 @@ def _matching_mask(state: SparseState, mask: int, want: int) -> dict[int, comple
                 found.append(entry)
         free ^= low
     found.sort()
-    amps = state.amplitudes
     return {k: amps[k] for _, k in found}
 
 
@@ -260,18 +261,18 @@ def project_z(
 ) -> tuple[float, SparseState | None]:
     """Condition on Z outcomes: returns (probability, renormalized state).
 
-    ``assignment`` maps 1-based sites to observed digits.  For qubits it
-    may instead be a site mask (bit v-1 for site v), which conditions
-    every masked site on Z = +1.  A zero probability returns None for
-    the post state.
+    ``assignment`` maps 1-based sites to observed digits, or is a site
+    mask (bit v-1 for site v) that conditions every masked site on
+    digit 0 (Z = +1).  A zero probability returns None for the post state.
 
     The post state's keys are some of ``state``'s, which were range-checked
     when it was built, so only the prune test and the norm check run again.
     """
     if isinstance(assignment, int):
-        matching = _matching_mask(state, assignment, 0)
+        mask, want = assignment, 0
     else:
-        matching = _matching(state, assignment)
+        mask, want = _site_digits(state, assignment)
+    matching = _matching(state, mask, want)
     prob = sum([abs(a) ** 2 for a in matching.values()])
     if prob <= 0.0:
         return 0.0, None
@@ -302,16 +303,14 @@ def x_product_distribution(
 
     The observable is the product of single-site shift operators (Pauli
     X for qubits); eigenvalues are omega^j and the returned map is
-    keyed by the power j, so j=0 is +1 and j=1 is -1 when d=2.  For
-    qubits ``sites`` may instead be a nonzero site mask (bit v-1 for
-    site v).  Basis "Y" (qubits only) conjugates each measured site by
-    diag(1, -i) before the same evaluation.  At every d, each moment looks
+    keyed by the power j, so j=0 is +1 and j=1 is -1 when d=2.
+    ``sites`` may instead be a nonzero site mask (bit v-1 for site v).
+    Basis "Y" (qubits only) conjugates each measured site by diag(1, -i)
+    before the same evaluation.  At every d, each moment looks
     up every key's partner in the state's own dict; no shifted copy is built.
     """
     d = state.d
     if isinstance(sites, int):
-        if d != 2:
-            raise ValueError(f"a site mask selects qubits only, got d={d}")
         if sites <= 0 or sites >> state.n:
             raise ValueError(f"site mask {sites:#x} is empty or has sites outside 1..{state.n}")
         shift = sites
@@ -322,7 +321,7 @@ def x_product_distribution(
         for s in site_set:
             if not 1 <= s <= state.n:
                 raise ValueError(f"site {s} out of range 1..{state.n}")
-        shift = site_mask(site_set) if d == 2 else site_set
+        shift = site_mask(site_set)
     if basis not in ("X", "Y"):
         raise ValueError(f"basis must be X or Y, got {basis!r}")
     amps = state.amplitudes
@@ -343,7 +342,7 @@ def x_product_distribution(
                 moment += a.conjugate() * partner
         moments.append(moment)
     else:  # W^-m raises each listed digit by m, so a digit >= d - m wraps by d
-        places = [d ** (s - 1) for s in shift]
+        places = [d ** (v - 1) for v in mask_vertices(shift)]
         total = sum(places)
         terms: list[list[complex]] = [[] for _ in range(1, d)]
         for k, a in amps.items():
@@ -361,19 +360,23 @@ def x_product_distribution(
     for j, row in enumerate(_inverse_root_rows(d)):
         val = sum(map(mul, row, moments)) / d
         if abs(val.imag) > 1e-9:
-            listed = mask_vertices(shift) if d == 2 else sorted(shift)
             raise CrossCheckError(f"non-real spectral weight {val} for power {j} of the "
-                                  f"{basis} product over sites {listed} (d={d})")
+                                  f"{basis} product over sites {mask_vertices(shift)} (d={d})")
         dist[j] = val.real if val.real > 0.0 else 0.0  # max(0.0, val.real), NaN to 0.0 too
     return dist
 
 
-def joint_z_probability(state: SparseState, sites: Iterable[int], digit: int = 0) -> float:
-    """Probability that every listed site yields the given Z digit."""
+def joint_z_probability(state: SparseState, sites: Iterable[int] | int, digit: int = 0) -> float:
+    """Probability that every listed site, or every site of a site mask,
+    yields the given Z digit."""
     if not 0 <= digit < state.d:
         raise ValueError(f"digit {digit} out of range for d={state.d}")
-    matching = _matching(state, dict.fromkeys(sorted(set(sites)), digit))
-    return sum(abs(a) ** 2 for a in matching.values())
+    if isinstance(sites, int):
+        # the mask's binary digits read in base d: digit 1 at every masked site
+        mask, want = sites, digit * int(format(sites, "b"), state.d)
+    else:
+        mask, want = _site_digits(state, dict.fromkeys(sorted(set(sites)), digit))
+    return sum(abs(a) ** 2 for a in _matching(state, mask, want).values())
 
 
 QUDIT_FAMILY_MAX_D = 7

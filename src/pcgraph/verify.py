@@ -41,7 +41,6 @@ from .graph import (
 )
 from .states import (
     BTerm,
-    _matching_mask,
     build_qudit_family,
     build_state,
     joint_z_probability,
@@ -228,7 +227,7 @@ def verify(
             probability=probability,
         ))
 
-    simulated = sum(abs(a) ** 2 for a in _matching_mask(state, union_mask, 0).values())
+    simulated = joint_z_probability(state, union_mask)
     formula = abs(alpha) ** 2 / (pcg.p + 1)
     # only key 0 survives: no edge (a valid graph has p >= 2 and no nested or
     # equal edges) nor b-term (build_state refuses one inside an edge) lies
@@ -354,19 +353,19 @@ def verify_qudit_family(d: int) -> QuditCertificate:
     state = build_qudit_family(d)
     n = d + 1
     probs = []
-    for j in range(1, n + 1):
-        _, post = project_z(state, {j: 0})
-        probability = x_product_distribution(post, sorted(set(range(1, n + 1)) - {j}))[1]
+    full = (1 << n) - 1
+    for j in range(n):
+        _, post = project_z(state, 1 << j)
+        probability = x_product_distribution(post, full ^ 1 << j)[1]
         if not _agrees(probability, 1.0):
-            raise CrossCheckError(f"qudit family d={d}: constraint at site {j} reads {probability!r}, not 1")
+            raise CrossCheckError(f"qudit family d={d}: constraint at site {j + 1} reads {probability!r}, not 1")
         probs.append(probability)
-    joint = joint_z_probability(state, range(1, n + 1), 0)
+    joint = joint_z_probability(state, full)
     formula = 1.0 / (1 + (d - 1) * (d + 1))
     if not _agrees(joint, formula):
         raise CrossCheckError(f"qudit family d={d}: simulated joint probability {joint!r} differs "
                               f"from 1/(1+(d-1)(d+1)) = {formula!r}")
-    # site j's constraint: the powers at every other site sum to 1 mod d
-    full = (1 << n) - 1
+    # site j + 1's constraint: the powers at every other site sum to 1 mod d
     satisfying, _ = census(d, n, [(full ^ 1 << j, 1) for j in range(n)])
     if satisfying:
         raise CrossCheckError(f"qudit family d={d}: the census found {satisfying} satisfying "

@@ -10,6 +10,8 @@ import pytest
 
 from pcgraph.cli import main
 
+from test_verify import _skewed
+
 
 @pytest.fixture()
 def triangle_file(tmp_path):
@@ -685,12 +687,8 @@ def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path, triangle_file
 
 def test_success_off_the_formula_exits_3(capsys, monkeypatch, psi_file):
     verify_mod = sys.modules["pcgraph.verify"]
-    matching = verify_mod._matching_mask
-
-    def skewed(state, mask, want):
-        return {k: a * math.sqrt(1 + 1e-9) for k, a in matching(state, mask, want).items()}
-
-    monkeypatch.setattr(verify_mod, "_matching_mask", skewed)
+    real = verify_mod.joint_z_probability
+    monkeypatch.setattr(verify_mod, "joint_z_probability", _skewed(real, 1 + 1e-9))
     code, out, err = run(capsys, "verify", psi_file)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert err.startswith("internal cross-check divergence: instance ")

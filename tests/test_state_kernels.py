@@ -23,12 +23,12 @@ from pcgraph import (
     x_product_distribution,
 )
 from pcgraph.catalog import loop_pcg, triangle_pcg
-from pcgraph.graph import site_mask
+from pcgraph.graph import mask_vertices, site_mask
 from pcgraph.states import (
     MAX_SHOTS,
     QUDIT_FAMILY_MAX_D,
     _inverse_root_rows,
-    _matching_mask,
+    _matching,
     build_qudit_family,
     parse_key,
     render_key,
@@ -102,19 +102,20 @@ def test_project_z_matches_dense(case):
 
 
 @st.composite
-def qubit_state_and_mask(draw):
-    state = draw(sparse_states(dims=(2,)))
+def state_and_mask(draw, dims=tuple(sorted(MAX_SITES))):
+    """A state, a site mask, and a qubit key inside the mask."""
+    state = draw(sparse_states(dims=dims))
     mask = draw(st.integers(0, (1 << state.n) - 1))
     return state, mask, draw(st.integers(0, (1 << state.n) - 1)) & mask
 
 
 @settings(max_examples=150, deadline=None)
-@given(qubit_state_and_mask())
+@given(state_and_mask())
 def test_project_z_mask_form_matches_dense_and_map_form(case):
     state, mask, _ = case
     assignment = {v: 0 for v in range(1, state.n + 1) if mask >> (v - 1) & 1}
     vec = dense_vector(state)
-    kept = np.where(_dense_mask(state.n, 2, assignment), vec, 0)
+    kept = np.where(_dense_mask(state.n, state.d, assignment), vec, 0)
     expected = float(np.vdot(kept, kept).real)
     prob, post = project_z(state, mask)
     assert abs(prob - expected) < 1e-12
@@ -128,6 +129,8 @@ def test_project_z_mask_form_matches_dense_and_map_form(case):
         # the post state skips _from_keys, but is what it would have built
         rebuilt = SparseState._from_keys(post.n, post.d, post.amplitudes)
         assert _bit_listing(post.amplitudes) == _bit_listing(rebuilt.amplitudes)
+    if mask:
+        assert x_product_distribution(state, mask) == x_product_distribution(state, mask_vertices(mask))
 
 
 def _bit_listing(amps: dict[int, complex]) -> list[tuple[int, str, str]]:
@@ -136,12 +139,12 @@ def _bit_listing(amps: dict[int, complex]) -> list[tuple[int, str, str]]:
 
 
 def _assert_index_matches_scan(state, mask: int, want: int) -> None:
-    assert _bit_listing(_matching_mask(state, mask, want)) == \
+    assert _bit_listing(_matching(state, mask, want)) == \
         _bit_listing(scan_matching_mask(state, mask, want)), (mask, want)
 
 
 @settings(max_examples=200, deadline=None)
-@given(qubit_state_and_mask())
+@given(state_and_mask(dims=(2,)))
 def test_indexed_conditioning_matches_key_scan(case):
     _assert_index_matches_scan(*case)
 
@@ -175,9 +178,12 @@ def test_project_z_mask_form_checks_its_range():
         project_z(state, 0b1000)
     with pytest.raises(ValueError, match="outside 1..3"):
         project_z(state, -1)
-    qutrit = SparseState.from_amplitudes(2, {"00": 1.0}, d=3)
-    with pytest.raises(ValueError, match="qubits only"):
-        project_z(qutrit, 0b01)
+    qutrit = SparseState.from_amplitudes(2, {"00": 0.6, "21": 0.8}, d=3)
+    prob, post = project_z(qutrit, 0b01)  # site 1 reads 0: key "00"
+    assert (prob, post) == project_z(qutrit, {1: 0})
+    assert prob == pytest.approx(0.36) and list(post.amplitudes) == [0]
+    with pytest.raises(ValueError, match="outside 1..2"):
+        project_z(qutrit, 0b100)
 
 
 def test_project_z_refuses_a_post_state_off_norm():
@@ -197,9 +203,8 @@ def test_x_product_mask_form_checks_its_range():
     for mask in (0, 0b1000, 0b1011, -1, -0b10):
         with pytest.raises(ValueError, match=r"site mask .* is empty or has sites outside 1\.\.3"):
             x_product_distribution(state, mask)
-    qutrit = SparseState.from_amplitudes(2, {"00": 1.0}, d=3)
-    with pytest.raises(ValueError, match="qubits only"):
-        x_product_distribution(qutrit, 0b01)
+    qutrit = SparseState.from_amplitudes(2, {"00": 0.6, "21": 0.8}, d=3)
+    assert x_product_distribution(qutrit, 0b01) == x_product_distribution(qutrit, [1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,6 +306,7 @@ def test_joint_z_probability_matches_dense(case, digit):
     mask = _dense_mask(state.n, state.d, dict.fromkeys(sites, digit))
     expected = float(np.sum(np.abs(vec[mask]) ** 2))
     assert abs(joint_z_probability(state, sites, digit) - expected) < 1e-12
+    assert joint_z_probability(state, site_mask(sites), digit) == joint_z_probability(state, sites, digit)
 
 
 # --- digit-string boundary -------------------------------------------------------

@@ -213,8 +213,18 @@ def test_hardy_loop_conditions_and_measures_once_per_edge(monkeypatch, pcg):
     for name in calls:
         monkeypatch.setattr(verify_mod, name, spy(name))
     cert = verify(pcg)
-    assert calls == {"project_z": pcg.p, "x_product_distribution": pcg.p, "joint_z_probability": 0}
+    assert calls == {"project_z": pcg.p, "x_product_distribution": pcg.p, "joint_z_probability": 1}
     assert len(cert.hardy_checks) == pcg.p
+
+
+def test_verify_binds_no_private_name_of_states():
+    # verify reads the state kernels through public names alone, so a spy
+    # or tracer that wraps those names sees every read it makes
+    states = sys.modules["pcgraph.states"]
+    private = [v for k, v in vars(states).items() if k.startswith("_") and callable(v)]
+    bound = list(vars(verify_mod).values())
+    assert private and not any(v is states for v in bound)
+    assert not [v for v in bound if any(v is f for f in private)]
 
 
 @functools.cache
@@ -488,12 +498,8 @@ def test_success_off_the_formula_raises_cross_check_error(monkeypatch):
     # every valid instance keeps only key 0 in the success event, so the
     # simulated value is |alpha|^2/(p+1) to rounding; a drift of 1e-9 is a bug
     pcg, b_terms = triangle_pcg(), [BTerm((1, 2, 3), 1.0)]
-    matching = verify_mod._matching_mask
-
-    def skewed(state, mask, want):
-        return {k: a * math.sqrt(1 + 1e-9) for k, a in matching(state, mask, want).items()}
-
-    monkeypatch.setattr(verify_mod, "_matching_mask", skewed)
+    real = verify_mod.joint_z_probability
+    monkeypatch.setattr(verify_mod, "joint_z_probability", _skewed(real, 1 + 1e-9))
     with pytest.raises(CrossCheckError, match=pcg_digest(pcg)) as info:
         verify(pcg, SQ2, b_terms)
     assert "simulated success" in str(info.value) and "|alpha|^2/(p+1)" in str(info.value)
