@@ -178,6 +178,9 @@ def test_project_z_mask_form_checks_its_range():
         project_z(state, 0b1000)
     with pytest.raises(ValueError, match="outside 1..3"):
         project_z(state, -1)
+    for mask in (0b1000, -1):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            joint_z_probability(state, mask, 1)
     qutrit = SparseState.from_amplitudes(2, {"00": 0.6, "21": 0.8}, d=3)
     prob, post = project_z(qutrit, 0b01)  # site 1 reads 0: key "00"
     assert (prob, post) == project_z(qutrit, {1: 0})
